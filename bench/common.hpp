@@ -9,7 +9,8 @@
 // repo runs on whatever the build host offers (possibly one core), so the
 // instances are scaled so that every bench binary finishes in tens of
 // seconds. The *relative* comparisons (overhead ratios, skeleton rankings,
-// parameter sensitivity) are the reproduction target; see EXPERIMENTS.md.
+// parameter sensitivity) are the reproduction target; see
+// bench/perf/README.md for the committed benchmark and its recorded runs.
 
 #include <functional>
 #include <string>

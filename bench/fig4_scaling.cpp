@@ -9,7 +9,8 @@
 // 1, 2 and 4 simulated localities. On a single-core host, wall-clock
 // speedup cannot materialise; alongside runtime we therefore report the
 // coordination evidence (tasks, steals, nodes) showing the distributed
-// machinery engaging - see EXPERIMENTS.md for the shape comparison.
+// machinery engaging - see bench/perf/README.md for how end-to-end runs
+// are measured and compared.
 
 #include <cstdio>
 #include <iostream>

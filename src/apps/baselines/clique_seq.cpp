@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <mutex>
 
 #include "apps/maxclique/maxclique.hpp"
@@ -14,26 +15,37 @@ namespace yewpar::apps::baseline {
 
 namespace {
 
+// One colour order per search depth, reused by every node at that depth.
+// A deque keeps references stable while deeper levels are added.
+class DepthOrders {
+ public:
+  mc::ColourOrder& at(std::size_t depth) {
+    if (depth == orders_.size()) orders_.emplace_back();
+    return orders_[depth];
+  }
+
+ private:
+  std::deque<mc::ColourOrder> orders_;
+};
+
 struct SeqState {
   const Graph* g = nullptr;
   std::vector<std::size_t> current;
   CliqueResult best;
+  DepthOrders orders;
 
   void expand(const DynBitset& p) {
     best.nodes += 1;
-    std::vector<std::int32_t> vertex, colour;
-    mc::greedyColour(*g, p, vertex, colour);
+    mc::ColourOrder& order = orders.at(current.size());
+    mc::greedyColour(*g, p, order);
     DynBitset remaining = p;
-    for (std::int32_t i = static_cast<std::int32_t>(vertex.size()) - 1;
-         i >= 0; --i) {
+    for (std::size_t i = order.size(); i-- > 0;) {
       // Colour bound: the whole remaining prefix cannot beat the incumbent.
-      if (static_cast<std::int32_t>(current.size()) +
-              colour[static_cast<std::size_t>(i)] <=
+      if (static_cast<std::int32_t>(current.size()) + order[i].colour <=
           best.size) {
         return;
       }
-      const auto v = static_cast<std::size_t>(
-          vertex[static_cast<std::size_t>(i)]);
+      const auto v = static_cast<std::size_t>(order[i].vertex);
       remaining.reset(v);
       current.push_back(v);
       if (static_cast<std::int32_t>(current.size()) > best.size) {
@@ -56,7 +68,6 @@ CliqueResult maxCliqueSeq(const Graph& g) {
   DynBitset all(g.size());
   all.setAll();
   st.expand(all);
-  st.best.nodes += 0;
   return st.best;
 }
 
@@ -79,21 +90,18 @@ struct OmpShared {
     }
   }
 
-  void expand(std::vector<std::size_t>& current, const DynBitset& p,
-              std::uint64_t& localNodes) {
+  void expand(std::vector<std::size_t>& current, DepthOrders& orders,
+              const DynBitset& p, std::uint64_t& localNodes) {
     localNodes += 1;
-    std::vector<std::int32_t> vertex, colour;
-    mc::greedyColour(*g, p, vertex, colour);
+    mc::ColourOrder& order = orders.at(current.size());
+    mc::greedyColour(*g, p, order);
     DynBitset remaining = p;
-    for (std::int32_t i = static_cast<std::int32_t>(vertex.size()) - 1;
-         i >= 0; --i) {
-      if (static_cast<std::int32_t>(current.size()) +
-              colour[static_cast<std::size_t>(i)] <=
+    for (std::size_t i = order.size(); i-- > 0;) {
+      if (static_cast<std::int32_t>(current.size()) + order[i].colour <=
           bestSize.load(std::memory_order_relaxed)) {
         return;
       }
-      const auto v = static_cast<std::size_t>(
-          vertex[static_cast<std::size_t>(i)]);
+      const auto v = static_cast<std::size_t>(order[i].vertex);
       remaining.reset(v);
       current.push_back(v);
       auto sz = static_cast<std::int32_t>(current.size());
@@ -105,7 +113,7 @@ struct OmpShared {
       if (sz > cur) record(current);
       DynBitset p2 = remaining;
       p2 &= g->neighbours(v);
-      if (p2.any()) expand(current, p2, localNodes);
+      if (p2.any()) expand(current, orders, p2, localNodes);
       current.pop_back();
     }
   }
@@ -119,8 +127,8 @@ CliqueResult maxCliqueOmp(const Graph& g, int nThreads) {
 
   DynBitset all(g.size());
   all.setAll();
-  std::vector<std::int32_t> vertex, colour;
-  mc::greedyColour(g, all, vertex, colour);
+  mc::ColourOrder order;
+  mc::greedyColour(g, all, order);
 
 #pragma omp parallel num_threads(nThreads)
   {
@@ -130,14 +138,12 @@ CliqueResult maxCliqueOmp(const Graph& g, int nThreads) {
       DynBitset remaining = all;
       // One task per depth-1 subtree, in the same (reverse colour) order the
       // sequential solver uses.
-      for (std::int32_t i = static_cast<std::int32_t>(vertex.size()) - 1;
-           i >= 0; --i) {
-        const auto v = static_cast<std::size_t>(
-            vertex[static_cast<std::size_t>(i)]);
+      for (std::size_t i = order.size(); i-- > 0;) {
+        const auto v = static_cast<std::size_t>(order[i].vertex);
         remaining.reset(v);
         DynBitset p2 = remaining;
         p2 &= g.neighbours(v);
-        const auto cbound = colour[static_cast<std::size_t>(i)];
+        const auto cbound = order[i].colour;
 #pragma omp task firstprivate(v, p2, cbound) shared(shared)
         {
           if (cbound > shared.bestSize.load(std::memory_order_relaxed)) {
@@ -148,7 +154,8 @@ CliqueResult maxCliqueOmp(const Graph& g, int nThreads) {
             }
             if (cur < 1) shared.record(current);
             std::uint64_t localNodes = 1;
-            if (p2.any()) shared.expand(current, p2, localNodes);
+            DepthOrders orders;
+            if (p2.any()) shared.expand(current, orders, p2, localNodes);
             shared.nodes.fetch_add(localNodes, std::memory_order_relaxed);
           }
         }

@@ -1,31 +1,42 @@
 #include "apps/maxclique/maxclique.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace yewpar::apps::mc {
 
-void greedyColour(const Graph& graph, const DynBitset& p,
-                  std::vector<std::int32_t>& vertex,
-                  std::vector<std::int32_t>& colour) {
+void greedyColour(const Graph& graph, const DynBitset& p, ColourOrder& order) {
+  using Word = DynBitset::Word;
   const std::size_t count = p.count();
-  vertex.resize(count);
-  colour.resize(count);
+  ColourOrder::Entry* out = order.resize(count);
 
   DynBitset uncoloured = p;
+  DynBitset classCandidates = p;
+  Word* left = uncoloured.data();
+  Word* avail = classCandidates.data();
+  const std::size_t nwords = p.wordCount();
+  std::size_t firstWord = 0;  // words below this are all coloured
   std::size_t i = 0;
   std::int32_t colourClass = 0;
-  while (!uncoloured.empty()) {
+  while (i < count) {
     ++colourClass;
-    // One independent set per colour class: repeatedly take the first
-    // available vertex and exclude its neighbours from this class.
-    DynBitset classCandidates = uncoloured;
-    while (true) {
-      std::size_t v = classCandidates.findFirst();
-      if (v == DynBitset::npos) break;
-      classCandidates.reset(v);
-      classCandidates.andNot(graph.neighbours(v));
-      uncoloured.reset(v);
-      vertex[i] = static_cast<std::int32_t>(v);
-      colour[i] = colourClass;
-      ++i;
+    while (left[firstWord] == 0) ++firstWord;
+    std::memcpy(avail + firstWord, left + firstWord,
+                (nwords - firstWord) * sizeof(Word));
+    // Take the lowest available vertex and exclude its neighbours from this
+    // class. Words below wi are already empty, so only wi.. need masking.
+    for (std::size_t wi = firstWord; wi < nwords; ++wi) {
+      while (avail[wi] != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(avail[wi]));
+        const std::size_t v = wi * DynBitset::kWordBits + bit;
+        const Word* nbrs = graph.neighbours(v).data();
+        avail[wi] &= ~(Word{1} << bit);
+        for (std::size_t j = wi; j < nwords; ++j) avail[j] &= ~nbrs[j];
+        left[wi] &= ~(Word{1} << bit);
+        out[i].vertex = static_cast<std::int32_t>(v);
+        out[i].colour = colourClass;
+        ++i;
+      }
     }
   }
 }
@@ -37,9 +48,9 @@ Node rootNode(const Graph& g) {
   n.candidates = DynBitset(g.size());
   n.candidates.setAll();
   // Root bound: number of colours needed for the whole graph.
-  std::vector<std::int32_t> vertex, colour;
-  greedyColour(g, n.candidates, vertex, colour);
-  n.bound = colour.empty() ? 0 : colour.back();
+  ColourOrder order;
+  greedyColour(g, n.candidates, order);
+  n.bound = order.colours();
   return n;
 }
 

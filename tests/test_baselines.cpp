@@ -51,3 +51,41 @@ TEST(BaselineVsYewPar, SameOptimum) {
       BoundFunction<&mc::upperBound>, PruneLevel>::search(Params{}, g, mc::rootNode(g));
   EXPECT_EQ(static_cast<std::int64_t>(base.size), out.objective);
 }
+
+// The Sequential skeleton does exactly the hand-written solver's work: it
+// returns the same clique, and the nodes it does not prune are the nodes
+// maxCliqueSeq expands. (A child failing the bound is visited and pruned by
+// the skeleton but never entered by the baseline.)
+TEST(BaselineVsYewPar, SameWorkAsHandWritten) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  const auto add = [&](std::string name, Graph g) {
+    g.sortByDegreeDesc();
+    graphs.emplace_back(std::move(name), std::move(g));
+  };
+  graphs.emplace_back("fig1", fig1Graph());
+  // The perf benchmark's Table 1 stand-ins (without its relabelling).
+  add("gnp(130,.88,5)", gnp(130, 0.88, 5));
+  add("gnp(190,.72,3)", gnp(190, 0.72, 3));
+  add("twoDensity(260,.40,.82,7)", twoDensity(260, 0.40, 0.82, 7));
+  add("gnp(160,.78,36)", gnp(160, 0.78, 36));
+  for (std::uint64_t seed = 1; seed <= 42; ++seed) {
+    const double density = 0.3 + 0.6 * static_cast<double>(seed % 7) / 6.0;
+    const auto n = static_cast<std::size_t>(30 + seed % 5 * 10);
+    add("gnp(" + std::to_string(n) + "," + std::to_string(density) + "," +
+            std::to_string(seed) + ")",
+        gnp(n, density, seed));
+  }
+
+  for (const auto& [name, g] : graphs) {
+    const auto base = baseline::maxCliqueSeq(g);
+    const auto out = skeletons::Sequential<
+        mc::Gen, Optimisation, BoundFunction<&mc::upperBound>,
+        PruneLevel>::search(Params{}, g, mc::rootNode(g));
+    DynBitset baseClique(g.size());
+    for (auto v : base.members) baseClique.set(v);
+    ASSERT_TRUE(out.incumbent.has_value()) << name;
+    EXPECT_EQ(out.incumbent->clique, baseClique) << name;
+    EXPECT_EQ(out.metrics.nodesProcessed - out.metrics.prunes, base.nodes)
+        << name;
+  }
+}

@@ -87,24 +87,51 @@ TEST(MaxClique, GreedyColourIsProperAndMonotone) {
   Graph g = gnp(30, 0.5, 3);
   DynBitset p(30);
   p.setAll();
-  std::vector<std::int32_t> vertex, colour;
-  mc::greedyColour(g, p, vertex, colour);
-  ASSERT_EQ(vertex.size(), 30u);
+  mc::ColourOrder order;
+  mc::greedyColour(g, p, order);
+  ASSERT_EQ(order.size(), 30u);
   // Prefix colour counts are non-decreasing.
-  for (std::size_t i = 1; i < colour.size(); ++i) {
-    EXPECT_GE(colour[i], colour[i - 1]);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    EXPECT_GE(order[i].colour, order[i - 1].colour);
   }
   // Same-colour vertices form an independent set (proper colouring).
-  for (std::size_t i = 0; i < vertex.size(); ++i) {
-    for (std::size_t j = i + 1; j < vertex.size(); ++j) {
-      if (colour[i] == colour[j]) {
-        EXPECT_FALSE(g.hasEdge(static_cast<std::size_t>(vertex[i]),
-                               static_cast<std::size_t>(vertex[j])));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t j = i + 1; j < order.size(); ++j) {
+      if (order[i].colour == order[j].colour) {
+        EXPECT_FALSE(g.hasEdge(static_cast<std::size_t>(order[i].vertex),
+                               static_cast<std::size_t>(order[j].vertex)));
       }
     }
   }
   // Colour count bounds the clique number.
-  EXPECT_GE(colour.back(), mc::bruteForceMaxClique(g));
+  EXPECT_GE(order.colours(), mc::bruteForceMaxClique(g));
+}
+
+TEST(MaxClique, ColourOrderCopiesInlineAndHeapStorage) {
+  // 30 entries fit inline; 600 exceed the inline capacity and use the heap.
+  for (std::size_t n : {std::size_t{30}, std::size_t{600}}) {
+    Graph g = gnp(n, 0.1, 5);
+    DynBitset p(n);
+    p.setAll();
+    mc::ColourOrder order;
+    mc::greedyColour(g, p, order);
+    ASSERT_EQ(order.size(), n);
+    mc::ColourOrder copy = order;
+    mc::ColourOrder moved = std::move(copy);
+    mc::ColourOrder assigned;
+    assigned = moved;
+    ASSERT_EQ(assigned.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(assigned[i].vertex, order[i].vertex);
+      EXPECT_EQ(assigned[i].colour, order[i].colour);
+    }
+    // A reused buffer takes a smaller set and reports only its entries.
+    DynBitset half(n);
+    for (std::size_t v = 0; v < n / 2; ++v) half.set(v);
+    mc::greedyColour(g, half, order);
+    EXPECT_EQ(order.size(), n / 2);
+    EXPECT_LE(order.colours(), assigned.colours());
+  }
 }
 
 TEST(MaxClique, Fig1WorkedExample) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/baselines/clique_seq.hpp"
 #include "apps/knapsack/knapsack.hpp"
 #include "apps/maxclique/maxclique.hpp"
 #include "apps/ns/ns.hpp"
@@ -111,40 +112,80 @@ TEST(BoundAdmissibility, TspBoundsDominateDescendants) {
   }
 }
 
+namespace {
+// Largest clique among the vertices of p, by exhaustive search.
+std::int32_t largestCliqueWithin(const Graph& g, DynBitset p) {
+  std::int32_t best = 0;
+  for (auto v = p.findFirst(); v != DynBitset::npos; v = p.findFirst()) {
+    p.reset(v);
+    DynBitset next = p;
+    next &= g.neighbours(v);
+    best = std::max(best, 1 + largestCliqueWithin(g, next));
+  }
+  return best;
+}
+}  // namespace
+
 TEST(BoundAdmissibility, CliqueColourBoundDominatesSubtree) {
-  // The colour bound must never be smaller than the true best clique
-  // reachable in the subtree: check against exhaustive search on small
-  // graphs.
-  for (std::uint64_t seed : {1ULL, 2ULL}) {
-    Graph g = gnp(22, 0.5, seed);
+  // Along seeded random root-to-leaf paths, every child of every node on
+  // the path has a colour bound that is admissible (never below the best
+  // clique reachable in its subtree, found by exhaustive search) and tight:
+  // the parent's size plus the prefix colour count of the child's vertex,
+  // which is exactly the hand-written solver's prune rule.
+  Rng rng(11);
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    const Graph g = gnp(22, 0.3 + 0.15 * static_cast<double>(seed), seed);
     auto root = mc::rootNode(g);
-    mc::Gen gen(g, root);
-    while (gen.hasNext()) {
-      auto child = gen.next();
-      // Best clique extending child's clique within its candidates:
-      DynBitset cands = child.candidates;
-      std::int32_t ext = 0;
-      {
-        // brute force on the candidate-induced subgraph
-        struct R {
-          const Graph& g;
-          std::int32_t best = 0;
-          void go(DynBitset p, std::int32_t size) {
-            best = std::max(best, size);
-            for (auto v = p.findFirst(); v != DynBitset::npos;
-                 v = p.findFirst()) {
-              p.reset(v);
-              DynBitset nxt = p;
-              nxt &= g.neighbours(v);
-              go(nxt, size + 1);
-            }
-          }
-        } r{g};
-        r.go(cands, 0);
-        ext = r.best;
+    EXPECT_GE(mc::upperBound(g, root), mc::bruteForceMaxClique(g));
+    for (int path = 0; path < 4; ++path) {
+      mc::Node node = root;
+      for (int depth = 0;; ++depth) {
+        mc::ColourOrder order;
+        mc::greedyColour(g, node.candidates, order);
+        mc::Gen gen(g, node);
+        std::vector<mc::Node> children;
+        for (std::size_t k = order.size(); gen.hasNext();) {
+          const auto child = gen.next();
+          --k;
+          EXPECT_EQ(mc::upperBound(g, child), node.size + order[k].colour)
+              << "seed " << seed << " depth " << depth;
+          EXPECT_GE(mc::upperBound(g, child),
+                    child.size + largestCliqueWithin(g, child.candidates))
+              << "seed " << seed << " depth " << depth;
+          children.push_back(child);
+        }
+        if (children.empty()) break;
+        node = children[rng.below(children.size())];
       }
-      EXPECT_GE(mc::upperBound(g, child), child.size + ext);
     }
+  }
+}
+
+TEST(BoundAdmissibility, CliqueBeyondInlineCapacity) {
+  // 600 vertices exceed the inline capacity of DynBitset and of the colour
+  // order, so the root's colour order and every bitset live on the heap.
+  Graph g = gnp(600, 0.05, 21);
+  g.sortByDegreeDesc();
+  ASSERT_GT(g.size(), mc::ColourOrder::kInlineEntries);
+  const auto base = baseline::maxCliqueSeq(g);
+  DynBitset baseClique(g.size());
+  for (auto v : base.members) baseClique.set(v);
+  EXPECT_TRUE(mc::isClique(g, baseClique));
+  EXPECT_EQ(static_cast<std::int32_t>(baseClique.count()), base.size);
+
+  Params p;
+  p.workersPerLocality = 2;
+  p.dcutoff = 2;
+  for (Skel s : {Skel::Seq, Skel::DepthBounded}) {
+    const auto out = runSkeleton<mc::Gen, Optimisation,
+                                 BoundFunction<&mc::upperBound>, PruneLevel>(
+        s, p, g, mc::rootNode(g));
+    EXPECT_EQ(out.objective, base.size) << skelName(s);
+    ASSERT_TRUE(out.incumbent.has_value()) << skelName(s);
+    EXPECT_TRUE(mc::isClique(g, out.incumbent->clique)) << skelName(s);
+    EXPECT_EQ(static_cast<std::int64_t>(out.incumbent->clique.count()),
+              out.objective)
+        << skelName(s);
   }
 }
 
