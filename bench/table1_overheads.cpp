@@ -17,11 +17,11 @@
 // the two disagree on a clique size or on that node count.
 //
 // Measured (18 instances, median of 3, a 4-core Intel Xeon VM): sequential
-// geomean slowdown 3.1% (range -8.0..17.8), against the paper's 8.8%. The
+// geomean slowdown 5.6-7.4% over three runs, against the paper's 8.8%. The
 // parallel pair is not comparable in a build without OpenMP, where
 // maxCliqueOmp falls back to the sequential solver.
 //
-// Flags: --tiny (the first 4 instances, 1 rep)  --reps N (timing reps)
+// Flags: --tiny (the first 4 instances, 1 rep; otherwise median of 3)
 
 #include <cstdio>
 #include <iostream>
@@ -38,7 +38,7 @@ using namespace yewpar::bench;
 int main(int argc, char** argv) {
   Flags f(argc, argv);
   const bool tiny = f.getBool("tiny");
-  const int reps = static_cast<int>(f.getInt("reps", tiny ? 1 : 3));
+  const int reps = tiny ? 1 : 3;
   const int workers = std::max(2u, std::thread::hardware_concurrency());
 
   std::printf("== Table 1: YewPar overheads vs hand-written MaxClique ==\n");

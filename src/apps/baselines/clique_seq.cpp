@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <mutex>
 
 #include "apps/maxclique/maxclique.hpp"
@@ -15,28 +14,15 @@ namespace yewpar::apps::baseline {
 
 namespace {
 
-// One colour order per search depth, reused by every node at that depth.
-// A deque keeps references stable while deeper levels are added.
-class DepthOrders {
- public:
-  mc::ColourOrder& at(std::size_t depth) {
-    if (depth == orders_.size()) orders_.emplace_back();
-    return orders_[depth];
-  }
-
- private:
-  std::deque<mc::ColourOrder> orders_;
-};
-
 struct SeqState {
   const Graph* g = nullptr;
   std::vector<std::size_t> current;
   CliqueResult best;
-  DepthOrders orders;
 
   void expand(const DynBitset& p) {
     best.nodes += 1;
-    mc::ColourOrder& order = orders.at(current.size());
+    // Inline storage, as in mc::Gen: no heap allocation up to 256 candidates.
+    mc::ColourOrder order;
     mc::greedyColour(*g, p, order);
     DynBitset remaining = p;
     for (std::size_t i = order.size(); i-- > 0;) {
@@ -90,10 +76,10 @@ struct OmpShared {
     }
   }
 
-  void expand(std::vector<std::size_t>& current, DepthOrders& orders,
-              const DynBitset& p, std::uint64_t& localNodes) {
+  void expand(std::vector<std::size_t>& current, const DynBitset& p,
+              std::uint64_t& localNodes) {
     localNodes += 1;
-    mc::ColourOrder& order = orders.at(current.size());
+    mc::ColourOrder order;
     mc::greedyColour(*g, p, order);
     DynBitset remaining = p;
     for (std::size_t i = order.size(); i-- > 0;) {
@@ -113,7 +99,7 @@ struct OmpShared {
       if (sz > cur) record(current);
       DynBitset p2 = remaining;
       p2 &= g->neighbours(v);
-      if (p2.any()) expand(current, orders, p2, localNodes);
+      if (p2.any()) expand(current, p2, localNodes);
       current.pop_back();
     }
   }
@@ -154,8 +140,7 @@ CliqueResult maxCliqueOmp(const Graph& g, int nThreads) {
             }
             if (cur < 1) shared.record(current);
             std::uint64_t localNodes = 1;
-            DepthOrders orders;
-            if (p2.any()) shared.expand(current, orders, p2, localNodes);
+            if (p2.any()) shared.expand(current, p2, localNodes);
             shared.nodes.fetch_add(localNodes, std::memory_order_relaxed);
           }
         }

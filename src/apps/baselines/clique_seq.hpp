@@ -8,7 +8,7 @@
 // clique_omp parallelises it with an OpenMP task per depth-1 subtree -
 // "closely analogous to the Depth-Bounded skeleton" as the paper puts it.
 // Both colour with the skeleton generator's own kernel and storage
-// (mc::greedyColour into an mc::ColourOrder, one reused per depth) and
+// (mc::greedyColour into an mc::ColourOrder per search node) and
 // prune with the same rule, so the comparison measures skeleton overhead
 // rather than a kernel gap.
 

@@ -23,11 +23,13 @@ namespace yewpar::apps::mc {
 // Like DynBitset, small sets live inline and larger ones fall back to a heap
 // buffer, which is kept for reuse across greedyColour calls. Candidate sets
 // shrink fast below the root, so on the graphs DynBitset holds inline (up to
-// 512 vertices) nearly every generator and reused buffer stays off the
-// heap. The inline capacity is half of that bitset capacity so that a
-// generator, which skeletons keep one of per level of their stacks, stays
-// near 2.3 KB: with 512 entries the Sequential skeleton's peak memory on
-// the Table 1 stand-ins grew by 5%.
+// 512 vertices) nearly every generator and baseline search node stays off
+// the heap. With a plain std::vector instead (one heap allocation per
+// generator) the Sequential skeleton took 7.5% longer on the Table 1
+// stand-ins (4-vCPU KVM guest). The inline capacity is half of that bitset
+// capacity so that a generator, which skeletons keep one of per level of
+// their stacks, stays near 2.3 KB: with 512 entries the Sequential
+// skeleton's peak memory on the Table 1 stand-ins grew by 5%.
 class ColourOrder {
  public:
   struct Entry {
