@@ -198,9 +198,14 @@ std::optional<HandshakeResult> tryExchangeHandshake(
   if (!writeFull(fd, bytes.data(), bytes.size())) return std::nullopt;
 
   const auto deadline = Clock::now() + timeout;
+  const auto expired = [&] { return Clock::now() >= deadline; };
   std::uint8_t buf[wire::Handshake::kBytes];
-  if (readFull(fd, buf, sizeof(buf),
-               [&] { return Clock::now() >= deadline; }) != ReadResult::Ok) {
+  // The magic comes in on its own, so a foreign client is turned away as
+  // soon as its first 4 bytes arrive instead of holding the accept loop
+  // until this attempt times out waiting for bytes it will never send.
+  if (readFull(fd, buf, 4, expired) != ReadResult::Ok) return std::nullopt;
+  if (wire::getU32(buf) != wire::kMagic) throw ForeignConnection();
+  if (readFull(fd, buf + 4, sizeof(buf) - 4, expired) != ReadResult::Ok) {
     return std::nullopt;
   }
   const auto recvNanos = trace::nowNanos();
