@@ -13,6 +13,7 @@
 // snapshots) - see docs/ARCHITECTURE.md "Message lifecycle".
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <random>
@@ -455,19 +456,25 @@ struct Engine {
     for (auto& l : locs) l->locality().start();
 
     // One status server reports every simulated locality (runtime/statusd).
+    // It reports the search active until the worker teams have joined:
+    // workers fold their node counts in on exit, so once a scraper sees it
+    // inactive the counters are the ones the gather reports.
+    std::atomic<bool> teamsRunning{true};
     rt::statusd::StatusServer statusServer;
     const std::uint64_t runStartNanos = rt::prof::nowNanos();
     if (params.statusPort >= 0) {
-      statusServer.start(static_cast<std::uint16_t>(params.statusPort),
-                         [&locs, &net, &params, runStartNanos] {
-                           std::vector<rt::statusd::RankStatus> rows;
-                           rows.reserve(locs.size());
-                           for (auto& l : locs) {
-                             rows.push_back(rankStatus(*l, net, params,
-                                                       runStartNanos));
-                           }
-                           return rows;
-                         });
+      statusServer.start(
+          static_cast<std::uint16_t>(params.statusPort),
+          [&locs, &net, &params, &teamsRunning, runStartNanos] {
+            std::vector<rt::statusd::RankStatus> rows;
+            rows.reserve(locs.size());
+            const bool active = teamsRunning.load();
+            for (auto& l : locs) {
+              rows.push_back(
+                  rankStatus(*l, net, params, runStartNanos, active));
+            }
+            return rows;
+          });
     }
     for (auto& l : locs) l->startHealth();
 
@@ -508,6 +515,7 @@ struct Engine {
     // lifetime, not the whole run (mesh setup/teardown is not worker time).
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
+    teamsRunning.store(false);
 
     for (auto& l : locs) l->stopHealth();  // firing counts final pre-gather
     sampler.stop();  // takes the final sample; workers have quiesced
@@ -580,15 +588,17 @@ struct Engine {
     // Each rank serves its own status endpoint on --status-port + rank
     // (the same base + rank convention launch_local.sh uses for the mesh).
     // Declared after ctx: its listener thread reads ctx through the source
-    // callback, so it must be destroyed first.
+    // callback, so it must be destroyed first. The endpoint reports the
+    // search active until this rank's worker team has joined, as above.
+    std::atomic<bool> teamRunning{true};
     rt::statusd::StatusServer statusServer;
     const std::uint64_t runStartNanos = rt::prof::nowNanos();
     if (p.statusPort >= 0) {
       statusServer.start(
           static_cast<std::uint16_t>(p.statusPort + p.rank),
-          [&ctx, &net, &p, runStartNanos] {
-            return std::vector<rt::statusd::RankStatus>{
-                rankStatus(ctx, net, p, runStartNanos)};
+          [&ctx, &net, &p, &teamRunning, runStartNanos] {
+            return std::vector<rt::statusd::RankStatus>{rankStatus(
+                ctx, net, p, runStartNanos, teamRunning.load())};
           });
     }
 
@@ -676,6 +686,7 @@ struct Engine {
     }
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
+    teamRunning.store(false);
     ctx.stopHealth();  // firing counts final before the gather ships them
     sampler.stop();  // takes the final sample; workers have quiesced
     ctx.term().stop();
@@ -871,13 +882,14 @@ struct Engine {
   static rt::statusd::RankStatus rankStatus(Ctx& ctx,
                                             const rt::Transport& net,
                                             const Params& params,
-                                            std::uint64_t startNanos) {
+                                            std::uint64_t startNanos,
+                                            bool searchActive) {
     rt::statusd::RankStatus s;
     s.rank = ctx.id();
     s.world = params.nLocalities;
     const std::uint64_t now = rt::prof::nowNanos();
     s.uptimeSeconds = static_cast<double>(now - startNanos) / 1e9;
-    s.searchActive = !ctx.term().finished();
+    s.searchActive = searchActive;
     s.poolDepth = ctx.pool().size();
     s.netQueued = net.queuedMessagesNow();
     const std::int64_t bound =

@@ -38,6 +38,8 @@ struct RankStatus {
   int rank = 0;
   int world = 1;
   double uptimeSeconds = 0.0;
+  // True until this rank's workers have exited; from then on the counters
+  // below are final.
   bool searchActive = false;
   std::uint64_t poolDepth = 0;
   std::uint64_t netQueued = 0;
