@@ -16,7 +16,7 @@ const char* ruleName(Rule r) {
 }
 
 void Watchdog::start(const Config& cfg, Probe probe, int rank) {
-  if (running_ || cfg.interval.count() <= 0) return;
+  if (running() || cfg.interval.count() <= 0) return;
   cfg_ = cfg;
   probe_ = std::move(probe);
   rank_ = rank;
@@ -35,7 +35,7 @@ void Watchdog::start(const Config& cfg, Probe probe, int rank) {
   lastImprovementNanos_ = startNanos_;
   starvedWindows_.assign(prevProfile_.workers.size(), 0);
   lastWarnNanos_.fill(0);
-  running_ = true;
+  running_.store(true, std::memory_order_relaxed);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -62,14 +62,14 @@ void Watchdog::loop() {
 }
 
 void Watchdog::stop() {
-  if (!running_) return;
+  if (!running()) return;
   {
     LockGuard lock(mtx_);
     stopRequested_ = true;
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  running_ = false;
+  running_.store(false, std::memory_order_relaxed);
   probe_ = Probe{};
 }
 

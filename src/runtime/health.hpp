@@ -90,7 +90,8 @@ class Watchdog {
   void start(const Config& cfg, Probe probe, int rank) EXCLUDES(mtx_);
   void stop() EXCLUDES(mtx_);
 
-  bool running() const { return running_; }
+  // Readable from any thread (the status endpoint reports it live).
+  bool running() const { return running_.load(std::memory_order_relaxed); }
 
   // Live rule state, readable from any thread (the status endpoint).
   bool firing(Rule r) const {
@@ -127,7 +128,7 @@ class Watchdog {
   std::condition_variable cv_;
   bool stopRequested_ GUARDED_BY(mtx_) = false;
   std::thread thread_;   // touched only by the controlling thread
-  bool running_ = false;
+  std::atomic<bool> running_{false};  // written by the controlling thread
 
   std::array<std::atomic<bool>, kNumRules> firing_{};
   std::array<std::atomic<std::uint64_t>, kNumRules> firings_{};
