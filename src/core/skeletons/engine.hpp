@@ -817,8 +817,7 @@ struct Engine {
     // out), so the phases tile this thread's wall time exactly.
     auto& wp = ctx.profile().worker(w);
     rt::prof::PhaseClock pclock;
-    const std::uint64_t loopStartNanos = rt::prof::nowNanos();
-    pclock.start();
+    const std::uint64_t loopStartNanos = pclock.start();
     std::uint64_t taskSeq = 0;
     while (!ctx.term().finished()) {
       if (auto task = ctx.pool().popWait(200us, w)) {
@@ -853,10 +852,10 @@ struct Engine {
       pclock.lap(wp, rt::prof::Phase::kStealing);
     }
     // Close the tail interval (the final empty popWait / finish check), and
-    // stamp this thread's independently measured wall: the phase sum must
-    // tile it, whatever the OS did to the team's thread start/exit skew.
-    pclock.lap(wp, rt::prof::Phase::kIdle);
-    wp.setWall(rt::prof::nowNanos() - loopStartNanos);
+    // stamp this thread's wall between the clock's first and last reads:
+    // the phase sum must tile it, whatever the OS did to the team's thread
+    // start/exit skew.
+    wp.setWall(pclock.lap(wp, rt::prof::Phase::kIdle) - loopStartNanos);
     Ops::mergeWorkerAcc(ctx.reg(), ws.acc);
   }
 

@@ -90,9 +90,10 @@ class WorkerProfile {
     return nanos_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
 
-  // The owning thread's independently measured wall span (worker-loop entry
-  // to exit). Stamped by the loop itself, not derived from laps, so
-  // total() vs wall() is a real gap/double-charge check -- and one that
+  // The owning thread's wall span (worker-loop entry to exit), from its
+  // phase clock's first and last reads rather than from the laps' sum, so
+  // total() vs wall() is a real gap/double-charge check: any interval lost
+  // or charged twice shows, however briefly the loop ran, and the check
   // stays meaningful when the OS schedules team threads far apart.
   void setWall(std::uint64_t nanos) {
     wall_.store(nanos, std::memory_order_relaxed);
@@ -110,21 +111,26 @@ class WorkerProfile {
 // worker); the shared state it writes through (WorkerProfile) is atomic.
 class PhaseClock {
  public:
-  // (Re)base the clock at now. Called once at worker-loop entry; lap()
-  // re-bases automatically after a disarmed stretch.
-  void start() { last_ = enabled() ? nowNanos() : 0; }
+  // (Re)base the clock at now and return that base (0 while disarmed).
+  // Called once at worker-loop entry; lap() re-bases automatically after a
+  // disarmed stretch.
+  std::uint64_t start() {
+    last_ = enabled() ? nowNanos() : 0;
+    return last_;
+  }
 
-  // Close the interval that began at the previous lap (or start()) and
-  // charge it to `p`. Exactly one phase per nanosecond: the new interval
-  // begins where this one ended, on the same clock read.
-  void lap(WorkerProfile& w, Phase p) {
+  // Close the interval that began at the previous lap (or start()), charge
+  // it to `p`, and return the clock read that closed it (0 while
+  // disarmed). Exactly one phase per nanosecond: the new interval begins
+  // where this one ended, on the same clock read.
+  std::uint64_t lap(WorkerProfile& w, Phase p) {
     if (last_ == 0) {  // disarmed at the previous boundary: just re-base
-      start();
-      return;
+      return start();
     }
     const std::uint64_t now = nowNanos();
     w.add(p, now - last_);
     last_ = now;
+    return now;
   }
 
  private:
