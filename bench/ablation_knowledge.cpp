@@ -31,7 +31,7 @@ int main() {
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 2;
-    p.networkDelayMicros = delay;
+    p.net.delay = DelayModel{DelayModel::Kind::Fixed, delay, 0.0};
     std::int64_t size = 0;
     rt::MetricsSnapshot m;
     const double t = timeMedian(3, [&] {

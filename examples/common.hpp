@@ -32,6 +32,16 @@ inline std::vector<std::string> splitPeers(const std::string& spec) {
 }
 
 inline Params paramsFromFlags(const Flags& f) {
+  // Flags ignores unknown keys, so a removed flag would otherwise be
+  // silently dropped from an old command line.
+  if (f.has("netdelay")) {
+    throw std::invalid_argument(
+        "--netdelay was removed; use --net-delay fixed:<us>");
+  }
+  if (f.has("chunked")) {
+    throw std::invalid_argument(
+        "--chunked was removed; use --chunk-policy all");
+  }
   Params p;
   p.nLocalities = static_cast<int>(f.getInt("localities", 1));
   p.workersPerLocality = static_cast<int>(f.getInt("workers", 1));
@@ -39,13 +49,9 @@ inline Params paramsFromFlags(const Flags& f) {
   p.backtrackBudget = f.getUint64("b", 10000);
   // --chunk-policy one|fixed[:k]|half|adaptive|all sizes every steal reply;
   // --chunk-size k sets the fixed chunk size (and implies the fixed policy
-  // when no policy is given). An explicit policy wins over the legacy
-  // --chunked alias (= "all" for stack splits), so `--chunked
-  // --chunk-policy one` really is the unchunked baseline.
+  // when no policy is given).
   if (auto spec = f.raw("chunk-policy")) {
     p.chunk = parseChunkPolicy(*spec);
-  } else {
-    p.chunked = f.getBool("chunked");
   }
   if (f.has("chunk-size")) {
     const auto k = f.getUint64("chunk-size", p.chunk.k);
@@ -92,9 +98,7 @@ inline Params paramsFromFlags(const Flags& f) {
   // wait, --net-queue-cap bounds the in-flight queue per link (0 =
   // unbounded; overflow sheds to a spill list, adding latency), --net-delay
   // picks the per-link delay model (simulated fabric only - real sockets
-  // bring their own latency), --net-seed its RNG seed. The legacy
-  // --netdelay us stays as shorthand for --net-delay fixed:us and loses to
-  // an explicit --net-delay.
+  // bring their own latency), --net-seed its RNG seed.
   {
     const auto batch = f.getUint64("net-batch", 1);
     if (batch < 1) {
@@ -107,11 +111,6 @@ inline Params paramsFromFlags(const Flags& f) {
         static_cast<std::size_t>(f.getUint64("net-queue-cap", 0));
     if (auto spec = f.raw("net-delay")) {
       p.net.delay = rt::DelayModel::parse(*spec);
-    } else {
-      // Only fold the legacy flag in when no model was given explicitly:
-      // effectiveNet() cannot tell an explicit `--net-delay none` from the
-      // default, so `--netdelay 500 --net-delay none` must stay delay-free.
-      p.networkDelayMicros = f.getDouble("netdelay", 0.0);
     }
     p.net.seed = f.getUint64("net-seed", p.net.seed);
   }
@@ -147,16 +146,16 @@ inline Params paramsFromFlags(const Flags& f) {
     }
   }
   // Observability (docs/ARCHITECTURE.md "Observability"): --trace FILE arms
-  // event tracing and writes a Chrome trace_event JSON (under tcp, rank 0
-  // writes the single merged, clock-aligned file); --sample-interval-ms N
-  // runs the periodic telemetry sampler; --sample-csv FILE names its output
-  // (default telemetry.csv; non-zero tcp ranks append ".rank<r>").
+  // event tracing and rank 0 writes one merged, clock-aligned Chrome
+  // trace_event JSON; --sample-interval-ms N runs the periodic telemetry
+  // sampler; --sample-csv FILE names its output (default telemetry.csv;
+  // rank r > 0 appends ".rank<r>").
   p.traceFile = f.getString("trace", "");
   p.sampleIntervalMs = f.getUint64("sample-interval-ms", 0);
   p.sampleCsv = f.getString("sample-csv", "");
   // Live status endpoint and health watchdog (docs/FLAGS.md):
-  // --status-port N serves GET /metrics, /status.json and /healthz (under
-  // tcp, rank r listens on N + r); --status-linger-ms keeps serving that
+  // --status-port N serves GET /metrics, /status.json and /healthz (rank r
+  // listens on N + r); --status-linger-ms keeps serving that
   // long after the search so scrapers can read the final counters;
   // --health-interval-ms N runs the watchdog at that cadence;
   // --stall-warn-ms M arms its stalled-incumbent rule.

@@ -6,7 +6,7 @@
 // `mpiexec -n 2 ... maxclique` artifact run (Appendix A.4.2).
 //
 //   distributed --n 150 --skeleton depthbounded --workers 2
-//               --localities 4 --netdelay 200
+//               --localities 4 --net-delay fixed:200
 
 #include <cstdio>
 

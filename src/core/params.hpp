@@ -8,16 +8,19 @@
 #include <string>
 #include <vector>
 
-#include "runtime/network.hpp"
+#include "runtime/transport/shaping.hpp"
 #include "runtime/workpool.hpp"
 
 namespace yewpar {
 
 // Which transport backend carries inter-locality messages (`--transport`):
-//   Sim - all localities simulated inside this process (rt::InProcTransport,
-//         with the batching/back-pressure/delay layers of Params::net);
+//   Sim - all localities simulated inside this process, one thread-hosted
+//         rank each over a shared rt::InProcFabric (with the delay model of
+//         Params::net);
 //   Tcp - this process is ONE locality (`--rank`) of a mesh listed in
 //         `--peers`, wired over real sockets (rt::TcpTransport).
+// Either way every rank runs the same lifecycle over its own
+// rt::ShapedTransport (the batching/back-pressure layers of Params::net).
 enum class TransportKind : std::uint8_t { Sim, Tcp };
 
 // Steal-reply chunking lives with the workpools (runtime layer); re-exported
@@ -46,21 +49,12 @@ struct Params {
   std::uint64_t backtrackBudget = 0;
 
   // Steal-reply chunking policy, applied by victims of both steal protocols
-  // (see rt::ChunkKind).
+  // (see rt::ChunkKind). The paper's boolean chunked stack-stealing is
+  // ChunkKind::All (`--chunk-policy all`).
   ChunkPolicy chunk;
 
-  // Legacy Stack-Stealing toggle: steal all lowest-depth siblings. Kept for
-  // the paper's original boolean ablation; equivalent to chunk = "all" when
-  // `chunk` is still the default "one".
-  bool chunked = false;
-
-  // The chunking policy actually in force once the legacy flag is folded in.
-  ChunkPolicy effectiveChunk() const {
-    if (chunked && chunk.kind == ChunkKind::One) {
-      return ChunkPolicy{ChunkKind::All, 0};
-    }
-    return chunk;
-  }
+  // Same as `chunk`; bench/perf/perf.cpp still calls it.
+  ChunkPolicy effectiveChunk() const { return chunk; }
 
   // RandomSpawn: expected one task spawned per this many children generated
   // (Section 4's "random task creation" extension point). 0 = use default.
@@ -92,26 +86,11 @@ struct Params {
                                                        : 1);
   }
 
-  // Simulated transport configuration: send-buffer batching (--net-batch,
-  // --net-flush-us), bounded per-link queues with back-pressure
-  // (--net-queue-cap), and the per-link delay distribution (--net-delay,
-  // --net-seed). See rt::NetConfig.
+  // Link configuration: send-buffer batching (--net-batch, --net-flush-us)
+  // and bounded per-link queues with back-pressure (--net-queue-cap) shape
+  // every rank's links on both transports; the per-link delay distribution
+  // (--net-delay, --net-seed) is the simulated fabric's. See rt::NetConfig.
   NetConfig net;
-
-  // Legacy flag (--netdelay): fixed one-way latency between localities in
-  // microseconds. Folded into net.delay by effectiveNet() when no delay
-  // model was configured explicitly.
-  double networkDelayMicros = 0.0;
-
-  // The transport configuration actually in force once the legacy fixed
-  // delay is folded in.
-  NetConfig effectiveNet() const {
-    NetConfig c = net;
-    if (c.delay.kind == DelayModel::Kind::None && networkDelayMicros > 0) {
-      c.delay = DelayModel{DelayModel::Kind::Fixed, networkDelayMicros, 0.0};
-    }
-    return c;
-  }
 
   // Transport backend selection. Under Tcp, `rank` is this process's
   // locality id and `peers` lists one host:port per rank (identical on all
@@ -138,9 +117,11 @@ struct Params {
 
   // Observability (--trace, --sample-interval-ms, --sample-csv; see
   // docs/ARCHITECTURE.md "Observability"). Empty traceFile = tracing
-  // disarmed, whose per-event cost is one relaxed atomic load. Under Tcp
-  // every rank records; rank 0 writes the single merged, clock-aligned
-  // Chrome trace_event JSON. sampleIntervalMs 0 = no telemetry sampler.
+  // disarmed, whose per-event cost is one relaxed atomic load. Every rank
+  // records; rank 0 writes the single merged, clock-aligned Chrome
+  // trace_event JSON. sampleIntervalMs 0 = no telemetry sampler; with it,
+  // every rank samples itself and rank r > 0 appends ".rank<r>" to the CSV
+  // path.
   std::string traceFile;
   std::uint64_t sampleIntervalMs = 0;
   std::string sampleCsv;
@@ -150,8 +131,8 @@ struct Params {
   }
 
   // Live status endpoint (--status-port; runtime/statusd.hpp). -1 = off.
-  // Under Sim one server reports every locality; under Tcp rank r serves
-  // statusPort + r (mirroring launch_local.sh's base-port + rank scheme).
+  // Rank r serves statusPort + r on both transports (mirroring
+  // launch_local.sh's base-port + rank scheme).
   int statusPort = -1;
 
   // Keep serving the status endpoint for this long after the search

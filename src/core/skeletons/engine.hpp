@@ -15,8 +15,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,11 +30,11 @@
 #include "runtime/channel.hpp"
 #include "runtime/health.hpp"
 #include "runtime/locality.hpp"
-#include "runtime/network.hpp"
 #include "runtime/profile.hpp"
 #include "runtime/statusd.hpp"
 #include "runtime/steal_slot.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/transport/inproc.hpp"
 #include "runtime/transport/shaping.hpp"
 #include "runtime/transport/tcp.hpp"
 #include "runtime/termination.hpp"
@@ -220,11 +223,10 @@ class EngineCtx {
     std::int64_t token = 0;
   };
 
-  // Per-locality results shipped to rank 0 when the run is multi-process
-  // (tag::kGatherReply): the wire replacement for the shared-memory gather
-  // loop of the simulated path. Carries every field gather() reads - the
-  // metrics snapshot (with this rank's transport counters folded in), the
-  // enumeration accumulator, and the locality's best incumbent.
+  // One rank's final results for rank 0's merge, shipped under
+  // tag::kGatherReply by every other rank: the metrics snapshot (with this
+  // rank's transport counters folded in), the phase profile, the
+  // enumeration accumulator, and the rank's best incumbent.
   struct GatherMsg {
     rt::MetricsSnapshot metrics;
     rt::prof::ProfileSnapshot profile;
@@ -357,7 +359,7 @@ class EngineCtx {
         rt::tag::kPoolStealRequest, [this](rt::Message&& m) {
           auto token = fromBytes<std::int64_t>(std::move(m.payload));
           StealReply reply{token,
-                           pool_->stealChunk(params_.effectiveChunk())};
+                           pool_->stealChunk(params_.chunk)};
           rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                             static_cast<std::uint64_t>(m.src),
                             static_cast<std::uint64_t>(token));
@@ -425,171 +427,94 @@ struct Engine {
   using GatherMsg = typename Ctx::GatherMsg;
   using Out = Outcome<Node, typename Ops::EnumValue>;
 
+  // Builds the transport and runs the ranks this process hosts: one rank of
+  // a TCP mesh, or every simulated rank over one shared InProcFabric. Each
+  // rank runs runRank() over its own ShapedTransport, so both transports
+  // share one lifecycle and differ only in the wire under the shaper.
   static Out run(const Params& params, const Space& space, const Node& root) {
-    if (params.transport == TransportKind::Tcp) {
-      return runTcp(params, space, root);
-    }
-    return runSim(params, space, root);
-  }
-
- private:
-  // Simulated path: all localities live in this process on the in-process
-  // transport backend; results are gathered by reading their registries.
-  static Out runSim(const Params& params, const Space& space,
-                    const Node& root) {
     Timer timer;
-    auto spaceBytes = toBytes(space);
-
-    // Armed before the transport and localities exist so every thread they
-    // spawn registers its trace buffer inside this session.
+    // Armed before any transport exists, so every thread a transport or a
+    // rank spawns registers its trace buffer inside this session. Phase
+    // accounting is always on during a run; only the disarmed fast path
+    // (Sequential skeleton, benches) skips the clock reads. Both are
+    // refcounted, so ranks sharing this process share them.
     rt::trace::SessionScope traceScope(!params.traceFile.empty());
-    // Phase accounting is always on during a run; only the disarmed
-    // fast path (Sequential skeleton, benches) skips the clock reads.
     rt::prof::ArmScope profScope;
+    const auto spaceBytes = toBytes(space);
 
-    rt::InProcTransport net(params.nLocalities, params.effectiveNet());
-    std::vector<std::unique_ptr<Ctx>> locs;
-    locs.reserve(static_cast<std::size_t>(params.nLocalities));
-    for (int i = 0; i < params.nLocalities; ++i) {
-      locs.push_back(std::make_unique<Ctx>(net, i, params, spaceBytes));
-    }
-    for (auto& l : locs) l->locality().start();
-
-    // One status server reports every simulated locality (runtime/statusd).
-    // It reports the search active until the worker teams have joined:
-    // workers fold their node counts in on exit, so once a scraper sees it
-    // inactive the counters are the ones the gather reports.
-    std::atomic<bool> teamsRunning{true};
-    rt::statusd::StatusServer statusServer;
-    const std::uint64_t runStartNanos = rt::prof::nowNanos();
-    if (params.statusPort >= 0) {
-      statusServer.start(
-          static_cast<std::uint16_t>(params.statusPort),
-          [&locs, &net, &params, &teamsRunning, runStartNanos] {
-            std::vector<rt::statusd::RankStatus> rows;
-            rows.reserve(locs.size());
-            const bool active = teamsRunning.load();
-            for (auto& l : locs) {
-              rows.push_back(
-                  rankStatus(*l, net, params, runStartNanos, active));
-            }
-            return rows;
-          });
-    }
-    for (auto& l : locs) l->startHealth();
-
-    // Root task: count it before the leader starts polling, so the detector
-    // never observes the initial 0 == 0 state.
-    locs[0]->reg().metrics.tasksSpawned.fetch_add(1);
-    locs[0]->term().taskCreated();
-    locs[0]->pool().push(Task{root, 0}, 0);
-    locs[0]->term().startLeader();
-
-    rt::trace::Sampler sampler;
-    if (params.sampleIntervalMs > 0) {
-      sampler.start(std::chrono::milliseconds(params.sampleIntervalMs),
-                    [&locs, &net] {
-                      std::vector<rt::trace::Sample> rows;
-                      rows.reserve(locs.size());
-                      const auto t = rt::trace::nowNanos();
-                      for (auto& l : locs) {
-                        rows.push_back(sampleLocality(t, l->id(), *l, net));
-                      }
-                      return rows;
-                    });
+    if (params.transport == TransportKind::Tcp) {
+      Params p = params;
+      p.nLocalities = static_cast<int>(p.peers.size());
+      rt::TcpConfig tc;
+      tc.rank = p.rank;
+      tc.peers = p.peers;
+      tc.peerTimeout = std::chrono::milliseconds(p.peerTimeoutMs);
+      // Constructing the transport establishes the full mesh (handshake
+      // with every peer) before any search state exists: the start barrier.
+      rt::TcpTransport tcpNet(tc);
+      rt::ShapedTransport net(tcpNet, p.net);
+      return runRank(net, p, spaceBytes, root, timer);
     }
 
-    const std::uint64_t teamStartNanos = rt::prof::nowNanos();
-    {
-      std::vector<std::unique_ptr<rt::WorkerTeam>> teams;
-      teams.reserve(locs.size());
-      for (auto& l : locs) {
-        Ctx* ctx = l.get();
-        teams.push_back(std::make_unique<rt::WorkerTeam>(
-            params.workersPerLocality,
-            [ctx](int w) { workerLoop(*ctx, w); }));
+    // Simulated: rank 0 runs on this thread, every other rank on its own.
+    // A rank that throws is declared dead on the fabric, which aborts the
+    // others exactly as a dead TCP peer would; rank 0's error (it names the
+    // dead rank) is rethrown first, else the first failed peer's.
+    const int world = params.nLocalities;
+    rt::InProcFabric fabric(world, params.net);
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
+    const auto runSimRank = [&](int r) {
+      Params p = params;
+      p.rank = r;
+      auto& error = errors[static_cast<std::size_t>(r)];
+      try {
+        rt::InProcPort port(fabric, r);
+        rt::ShapedTransport net(port, p.net);
+        return runRank(net, p, spaceBytes, root, timer);
+      } catch (const std::exception& e) {
+        error = std::current_exception();
+        fabric.declareDead(r, e.what());
+      } catch (...) {
+        error = std::current_exception();
+        fabric.declareDead(r, "unknown exception");
       }
-      // Teams join in ~WorkerTeam once every locality's detector fired.
+      return Out{};
+    };
+    std::vector<std::thread> peers;
+    peers.reserve(static_cast<std::size_t>(world));
+    for (int r = 1; r < world; ++r) {
+      peers.emplace_back([&runSimRank, r] { runSimRank(r); });
     }
-    // The wall the phase table is measured against: the worker team's
-    // lifetime, not the whole run (mesh setup/teardown is not worker time).
-    const std::uint64_t teamWallNanos =
-        rt::prof::nowNanos() - teamStartNanos;
-    teamsRunning.store(false);
-
-    for (auto& l : locs) l->stopHealth();  // firing counts final pre-gather
-    sampler.stop();  // takes the final sample; workers have quiesced
-    for (auto& l : locs) l->term().stop();
-    for (auto& l : locs) l->locality().stop();
-
-    // Frame out anything still buffered so the batching accounting is
-    // exact: batched + immediate == messages in the gathered metrics.
-    net.flushAll();
-
-    if (params.sampleIntervalMs > 0) {
-      rt::trace::Sampler::writeCsv(params.effectiveSampleCsv(),
-                                   sampler.takeRows());
-    }
-    if (!params.traceFile.empty()) {
-      // One process, one clock: a single batch, no offset to apply.
-      rt::trace::writeChromeJson(params.traceFile,
-                                 {rt::trace::session().collect(-1)});
-    }
-
-    auto out = gather(params, locs, timer.elapsedSeconds(), net,
-                      teamWallNanos);
-    if (statusServer.running()) {
-      // Let scrapers read the final, quiesced counters before the endpoint
-      // disappears (--status-linger-ms).
-      if (params.statusLingerMs > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(params.statusLingerMs));
-      }
-      statusServer.stop();
+    Out out = runSimRank(0);
+    for (auto& t : peers) t.join();
+    for (auto& e : errors) {
+      if (e) std::rethrow_exception(e);
     }
     return out;
   }
 
-  // Multi-process path: this process runs exactly one locality
-  // (params.rank) of a TCP mesh. The same worker loop and termination
-  // protocol run as in the simulated path - they only ever spoke in
-  // messages - and the end-of-run gather becomes a message exchange: every
-  // non-zero rank ships a GatherMsg to rank 0, which merges them exactly
-  // like the shared-memory gather loop.
-  static Out runTcp(const Params& params, const Space& space,
-                    const Node& root) {
-    Timer timer;
-    Params p = params;
-    p.nLocalities = static_cast<int>(p.peers.size());
+ private:
+  static constexpr auto kGatherTimeout = std::chrono::seconds(120);
+
+  // One locality's whole run, identical on both transports: status
+  // endpoint, failure callback, root and termination leader (rank 0),
+  // health, sampler, worker team, quiesce, then the gather - every rank
+  // flushes its links and snapshots its results into a GatherMsg, and rank
+  // 0 merges all of them (its own included) while the others ship theirs
+  // under kGatherReply and return isRoot = false.
+  static Out runRank(rt::Transport& net, const Params& p,
+                     const std::vector<std::uint8_t>& spaceBytes,
+                     const Node& root, const Timer& timer) {
     const int world = p.nLocalities;
-
-    // Armed before the transport so its sender/receiver threads (spawned by
-    // the constructor) register their trace buffers inside the session.
-    // begin()/end() are refcounted, so in-process multi-rank runs (tests
-    // drive two ranks as threads) share one session.
-    rt::trace::SessionScope traceScope(!p.traceFile.empty());
-    rt::prof::ArmScope profScope;
-
-    rt::TcpConfig tc;
-    tc.rank = p.rank;
-    tc.peers = p.peers;
-    tc.peerTimeout = std::chrono::milliseconds(p.peerTimeoutMs);
-    // Constructing the transport establishes the full mesh (handshake with
-    // every peer) before any search state exists: the start barrier. The
-    // shaping layer wraps the raw socket backend so TCP ranks get the same
-    // batching, back-pressure and per-link accounting as the simulated
-    // fabric (docs/ARCHITECTURE.md "Network model").
-    rt::TcpTransport tcpNet(tc);
-    rt::ShapedTransport net(tcpNet, p.effectiveNet());
-
-    auto spaceBytes = toBytes(space);
     Ctx ctx(net, p.rank, p, spaceBytes);
 
     // Each rank serves its own status endpoint on --status-port + rank
     // (the same base + rank convention launch_local.sh uses for the mesh).
     // Declared after ctx: its listener thread reads ctx through the source
     // callback, so it must be destroyed first. The endpoint reports the
-    // search active until this rank's worker team has joined, as above.
+    // search active until this rank's worker team has joined: workers fold
+    // their node counts in on exit, so once a scraper sees it inactive the
+    // counters are the ones the gather reports.
     std::atomic<bool> teamRunning{true};
     rt::statusd::StatusServer statusServer;
     const std::uint64_t runStartNanos = rt::prof::nowNanos();
@@ -604,8 +529,8 @@ struct Engine {
 
     // First peer declared dead, if any. The transport reports a death at
     // most once per peer from one of its own threads; we keep the first and
-    // abort the local search - every surviving rank notices the dead peer
-    // on its own link, so no cross-rank coordination is needed.
+    // abort the local search - every surviving rank hears of the dead peer
+    // through its own transport, so no cross-rank coordination is needed.
     rt::Mutex failMtx;
     int deadRank = -1;
     std::string deadWhy;
@@ -615,7 +540,12 @@ struct Engine {
     rt::Mutex gatherMtx;
     std::condition_variable gatherCv;
     std::vector<GatherMsg> gathered;
-    if (p.rank == 0 && world > 1) {
+    // Each peer ships its trace batch right before its gather reply on the
+    // same FIFO link, so once every gather reply has arrived, so has every
+    // trace batch.
+    rt::Mutex traceMtx;
+    std::vector<rt::trace::Batch> traceBatches;
+    if (p.rank == 0) {
       ctx.locality().registerHandler(
           rt::tag::kGatherReply, [&](rt::Message&& m) {
             auto g = fromBytes<GatherMsg>(std::move(m.payload));
@@ -625,14 +555,6 @@ struct Engine {
             }
             gatherCv.notify_all();
           });
-    }
-
-    // Each peer ships its trace batch right before its gather reply on the
-    // same FIFO link, so once every gather reply has arrived, so has every
-    // trace batch.
-    rt::Mutex traceMtx;
-    std::vector<rt::trace::Batch> traceBatches;
-    if (p.rank == 0 && world > 1 && !p.traceFile.empty()) {
       ctx.locality().registerHandler(
           rt::tag::kTraceData, [&](rt::Message&& m) {
             auto b = fromBytes<rt::trace::Batch>(std::move(m.payload));
@@ -641,10 +563,11 @@ struct Engine {
           });
     }
 
-    // Fired from a transport thread when a peer goes silent past
-    // --peer-timeout-ms (or its link breaks outright): record the first
-    // death, abort the local search so the workers drain out, and wake a
-    // rank 0 blocked waiting for gather replies that will never come.
+    // Fired from a transport thread (TCP: a peer went silent past
+    // --peer-timeout-ms or its link broke) or a failing rank's thread
+    // (simulated): record the first death, abort the local search so the
+    // workers drain out, and wake a rank 0 blocked waiting for gather
+    // replies that will never come.
     net.onPeerFailure([&](int peer, const std::string& why) {
       {
         rt::LockGuard lock(failMtx);
@@ -656,6 +579,11 @@ struct Engine {
       ctx.term().abort();
       gatherCv.notify_all();
     });
+    // The callback reads this frame's locals: unhook it before they go.
+    struct Unhook {
+      rt::Transport& net;
+      ~Unhook() { net.onPeerFailure(nullptr); }
+    } unhook{net};
 
     ctx.locality().start();
     ctx.startHealth();
@@ -670,11 +598,10 @@ struct Engine {
 
     rt::trace::Sampler sampler;
     if (p.sampleIntervalMs > 0) {
-      const int rank = p.rank;
       sampler.start(std::chrono::milliseconds(p.sampleIntervalMs),
-                    [&ctx, &net, rank] {
-                      return std::vector<rt::trace::Sample>{sampleLocality(
-                          rt::trace::nowNanos(), rank, ctx, net)};
+                    [&ctx, &net] {
+                      return std::vector<rt::trace::Sample>{
+                          sampleLocality(ctx, net)};
                     });
     }
 
@@ -684,22 +611,24 @@ struct Engine {
                           [&ctx](int w) { workerLoop(ctx, w); });
       // Joins once the termination broadcast lands on this rank.
     }
+    // The wall the phase table is measured against: the worker team's
+    // lifetime, not the whole run (mesh setup/teardown is not worker time).
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
     teamRunning.store(false);
-    ctx.stopHealth();  // firing counts final before the gather ships them
+    ctx.stopHealth();  // firing counts final before the gather reads them
     sampler.stop();  // takes the final sample; workers have quiesced
     ctx.term().stop();
     if (p.sampleIntervalMs > 0) {
-      // One CSV per process: non-zero ranks suffix theirs with the rank.
+      // One CSV per rank: non-zero ranks suffix theirs with the rank.
       std::string csv = p.effectiveSampleCsv();
       if (p.rank != 0) csv += ".rank" + std::to_string(p.rank);
       rt::trace::Sampler::writeCsv(csv, sampler.takeRows());
     }
 
     // A dead peer aborts the whole job: the failure callback already
-    // drained the workers; exit non-zero naming the dead rank instead of
-    // exchanging gather messages with a mesh that lost a member.
+    // drained the workers; fail naming the dead rank instead of exchanging
+    // gather messages with a mesh that lost a member.
     {
       int dr = -1;
       std::string dw;
@@ -718,7 +647,7 @@ struct Engine {
 
     Out out;
     if (p.rank == 0) {
-      if (world > 1) {
+      {
         // Explicit predicate loop (not a wait lambda) so the thread-safety
         // analysis sees `gathered` read with gatherMtx held.
         rt::UniqueLock lock(gatherMtx);
@@ -735,8 +664,7 @@ struct Engine {
             break;
           }
         }
-        const bool all = static_cast<int>(gathered.size()) == world - 1;
-        if (!all) {
+        if (static_cast<int>(gathered.size()) != world - 1) {
           std::string msg = "gather: received " +
                             std::to_string(gathered.size()) + " of " +
                             std::to_string(world - 1) + " per-rank results";
@@ -752,14 +680,18 @@ struct Engine {
           throw rt::TransportError(msg);
         }
       }
-      out = mergeGather(p, ctx, gathered, timer.elapsedSeconds(), net,
-                        teamWallNanos);
+      // Every reply is in: nothing on this rank sends any more once the
+      // manager stops, so the snapshot below is final.
+      ctx.locality().stop();
+      gathered.push_back(makeGatherMsg(ctx, net, teamWallNanos));
+      out = mergeGather(p, gathered, timer.elapsedSeconds());
       if (!p.traceFile.empty()) {
         // Every kTraceData preceded its rank's kGatherReply on the same
         // FIFO link, so the batches are all here. Combine each peer's
         // handshake half-estimate (shipped in clockDeltaNanos) with our own
         // for that peer: the symmetric one-way delays cancel, leaving the
-        // offset that maps the peer's steady clock onto ours.
+        // offset that maps the peer's steady clock onto ours (zero for
+        // simulated ranks, which share this process's clock).
         std::vector<rt::trace::Batch> batches;
         {
           rt::LockGuard lock(traceMtx);
@@ -769,12 +701,17 @@ struct Engine {
           b.clockDeltaNanos =
               (b.clockDeltaNanos - net.handshakeClockDeltaNanos(b.rank)) / 2;
         }
-        // In-process multi-rank runs share one registry: collect only this
+        // Ranks sharing this process share one registry: collect only this
         // rank's events so the merged file has no duplicates.
         batches.push_back(rt::trace::session().collect(0));
         rt::trace::writeChromeJson(p.traceFile, batches);
       }
     } else {
+      // The search is over on every rank; stray steal traffic that still
+      // arrives is left undelivered, as at any rank's teardown. With the
+      // manager stopped nothing on this rank sends behind the snapshot.
+      ctx.locality().stop();
+      auto g = makeGatherMsg(ctx, net, teamWallNanos);
       if (!p.traceFile.empty()) {
         // Ship this rank's trace ahead of the gather reply on the same
         // link; rank 0's manager processes them in order.
@@ -782,31 +719,26 @@ struct Engine {
         batch.clockDeltaNanos = net.handshakeClockDeltaNanos(0);
         ctx.locality().send(0, rt::tag::kTraceData, toBytes(batch));
       }
-      // The manager (still running) keeps absorbing stray steal/termination
-      // traffic while this reply travels.
-      ctx.locality().send(0, rt::tag::kGatherReply,
-                          toBytes(makeGatherMsg(ctx, net, teamWallNanos)));
+      ctx.locality().send(0, rt::tag::kGatherReply, toBytes(g));
+      net.flushAll();
       out.elapsedSeconds = timer.elapsedSeconds();
       out.isRoot = false;
     }
 
     if (statusServer.running()) {
       // Every rank lingers, so a scraper can read each rank's final
-      // counters (the CI multiproc lane curls both ranks post-search).
+      // counters before the endpoint disappears (--status-linger-ms).
       if (p.statusLingerMs > 0) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(p.statusLingerMs));
       }
       statusServer.stop();
     }
-    ctx.locality().stop();
     // Graceful close: drains every queued frame (including the gather reply
     // just sent) before the sockets go down.
     net.shutdown();
     return out;
   }
-
-  static constexpr auto kGatherTimeout = std::chrono::seconds(120);
 
   static void workerLoop(Ctx& ctx, int w) {
     auto& ws = *ctx.workers()[static_cast<std::size_t>(w)];
@@ -859,25 +791,22 @@ struct Engine {
     Ops::mergeWorkerAcc(ctx.reg(), ws.acc);
   }
 
-  // One telemetry row for one locality (runSim samples every locality per
-  // tick, runTcp its single rank).
-  static rt::trace::Sample sampleLocality(std::uint64_t tNanos, int rank,
-                                          Ctx& ctx,
-                                          const rt::Transport& net) {
+  // One telemetry row for this rank.
+  static rt::trace::Sample sampleLocality(Ctx& ctx, const rt::Transport& net) {
     rt::trace::Sample s;
-    s.tNanos = tNanos;
-    s.rank = rank;
+    s.tNanos = rt::trace::nowNanos();
+    s.rank = ctx.id();
     s.poolDepth = ctx.pool().size();
     s.netQueued = net.queuedMessagesNow();
     s.netQueuedMaxLink = net.maxLinkQueueNow();
     s.metrics = ctx.reg().metrics.snapshot();
     // The same accumulators /metrics reads: one source of truth for the
     // per-worker busy/idle columns the CSV grows.
-    s.profile = ctx.profile().snapshot(rank, 0);
+    s.profile = ctx.profile().snapshot(ctx.id(), 0);
     return s;
   }
 
-  // One status-endpoint row for one locality, frozen at scrape time.
+  // One status-endpoint row for this rank, frozen at scrape time.
   static rt::statusd::RankStatus rankStatus(Ctx& ctx,
                                             const rt::Transport& net,
                                             const Params& params,
@@ -898,12 +827,7 @@ struct Engine {
     s.metrics = ctx.reg().metrics.snapshot();
     s.metrics.poolLockContentions = ctx.pool().lockContentions();
     s.metrics.healthWarnings = ctx.health().totalFirings();
-    // Transport counters are fabric-wide under Sim: charge them to rank 0
-    // only, so summing rows over ranks never multiple-counts them. Under
-    // Tcp each process owns its transport, so every rank reports its own.
-    if (params.transport == TransportKind::Tcp || ctx.id() == 0) {
-      fillNetMetrics(s.metrics, net);
-    }
+    fillNetMetrics(s.metrics, net);
     s.profile = ctx.profile().snapshot(ctx.id(), now - startNanos);
     const auto& wd = ctx.health();
     for (int r = 0; r < rt::health::kNumRules; ++r) {
@@ -934,47 +858,13 @@ struct Engine {
     m.netLatencyHist = net.latencyHistogram();
   }
 
-  static Out gather(const Params& params,
-                    std::vector<std::unique_ptr<Ctx>>& locs, double elapsed,
-                    const rt::Transport& net,
-                    std::uint64_t teamWallNanos) {
-    Out out;
-    out.elapsedSeconds = elapsed;
-    fillNetMetrics(out.metrics, net);
-    for (auto& l : locs) {
-      auto& reg = l->reg();
-      out.metrics += reg.metrics.snapshot();
-      // Pool-side counter, not a Metrics atomic: read once, post-quiesce.
-      out.metrics.poolLockContentions += l->pool().lockContentions();
-      // Watchdog-side counter, same discipline (watchdogs are stopped).
-      out.metrics.healthWarnings += l->health().totalFirings();
-      out.profiles.push_back(l->profile().snapshot(l->id(), teamWallNanos));
-      // Workers have joined, but the guarded fields are read under their
-      // locks anyway: the discipline is uniform, and the locks are free.
-      if constexpr (SearchType::isEnumeration) {
-        using M = typename SearchType::M;
-        rt::LockGuard lock(reg.accMtx);
-        out.sum = M::plus(std::move(out.sum), std::move(reg.acc));
-      } else {
-        rt::LockGuard lock(reg.incMtx);
-        if (reg.incumbentObj > out.objective) {
-          out.objective = reg.incumbentObj;
-          out.incumbent = std::move(reg.incumbent);
-        }
-      }
-      if (reg.truncated.load()) out.complete = false;
-    }
-    if constexpr (SearchType::isDecision) {
-      out.decided = out.objective >= params.decisionTarget;
-    }
-    return out;
-  }
-
-  // Package this rank's local results for the wire (non-zero ranks of a
-  // multi-process run). The rank's own transport counters travel inside the
-  // metrics snapshot, so rank 0's merge sums wire traffic mesh-wide.
-  static GatherMsg makeGatherMsg(Ctx& ctx, const rt::Transport& net,
+  // Package this rank's final results for rank 0's merge. Call once nothing
+  // on this rank sends any more: the flush frames out whatever is still
+  // buffered, so the rank's own transport counters, folded into the
+  // metrics snapshot, split exactly (batched + immediate == messages).
+  static GatherMsg makeGatherMsg(Ctx& ctx, rt::Transport& net,
                                  std::uint64_t teamWallNanos) {
+    net.flushAll();
     auto& reg = ctx.reg();
     GatherMsg g;
     g.metrics = reg.metrics.snapshot();
@@ -983,6 +873,8 @@ struct Engine {
     g.profile = ctx.profile().snapshot(ctx.id(), teamWallNanos);
     fillNetMetrics(g.metrics, net);
     g.truncated = reg.truncated.load() ? 1 : 0;
+    // Workers have joined, but the guarded fields are read under their
+    // locks anyway: the discipline is uniform, and the locks are free.
     if constexpr (SearchType::isEnumeration) {
       rt::LockGuard lock(reg.accMtx);
       g.sum = reg.acc;
@@ -997,52 +889,29 @@ struct Engine {
     return g;
   }
 
-  // Rank 0's merge of its own registry plus every peer's GatherMsg: the
-  // same selection the shared-memory gather() performs over `locs`.
-  static Out mergeGather(const Params& params, Ctx& ctx,
-                         std::vector<GatherMsg>& peers, double elapsed,
-                         const rt::Transport& net,
-                         std::uint64_t teamWallNanos) {
+  // Rank 0's merge of every rank's GatherMsg, in rank order: profiles come
+  // out rank-sorted and, among equal objectives, the lowest rank's
+  // incumbent wins whatever order the replies arrived in.
+  static Out mergeGather(const Params& params, std::vector<GatherMsg>& ranks,
+                         double elapsed) {
+    std::sort(ranks.begin(), ranks.end(),
+              [](const GatherMsg& a, const GatherMsg& b) {
+                return a.profile.rank < b.profile.rank;
+              });
     Out out;
     out.elapsedSeconds = elapsed;
-    fillNetMetrics(out.metrics, net);
-    auto& reg = ctx.reg();
-    out.metrics += reg.metrics.snapshot();
-    out.metrics.poolLockContentions += ctx.pool().lockContentions();
-    out.metrics.healthWarnings += ctx.health().totalFirings();
-    out.profiles.push_back(ctx.profile().snapshot(ctx.id(), teamWallNanos));
-    if constexpr (SearchType::isEnumeration) {
-      using M = typename SearchType::M;
-      rt::LockGuard lock(reg.accMtx);
-      out.sum = M::plus(std::move(out.sum), std::move(reg.acc));
-    } else {
-      rt::LockGuard lock(reg.incMtx);
-      if (reg.incumbentObj > out.objective) {
-        out.objective = reg.incumbentObj;
-        out.incumbent = std::move(reg.incumbent);
-      }
-    }
-    if (reg.truncated.load()) out.complete = false;
-    for (auto& g : peers) {
+    for (auto& g : ranks) {
       out.metrics += g.metrics;
       out.profiles.push_back(std::move(g.profile));
       if constexpr (SearchType::isEnumeration) {
         using M = typename SearchType::M;
         out.sum = M::plus(std::move(out.sum), std::move(g.sum));
-      } else {
-        if (g.hasIncumbent && g.objective > out.objective) {
-          out.objective = g.objective;
-          out.incumbent = std::move(g.incumbent);
-        }
+      } else if (g.hasIncumbent && g.objective > out.objective) {
+        out.objective = g.objective;
+        out.incumbent = std::move(g.incumbent);
       }
       if (g.truncated) out.complete = false;
     }
-    // Gather replies land in arrival order; the report reads rank order.
-    std::sort(out.profiles.begin(), out.profiles.end(),
-              [](const rt::prof::ProfileSnapshot& a,
-                 const rt::prof::ProfileSnapshot& b) {
-                return a.rank < b.rank;
-              });
     if constexpr (SearchType::isDecision) {
       out.decided = out.objective >= params.decisionTarget;
     }

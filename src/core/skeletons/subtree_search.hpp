@@ -52,7 +52,7 @@ void pollStealRequests(Ctx& ctx, WS& ws, std::vector<Gen>& genStack,
                        int rootDepth) {
   auto& metrics = ctx.reg().metrics;
 
-  const ChunkPolicy chunk = ctx.params().effectiveChunk();
+  const ChunkPolicy chunk = ctx.params().chunk;
 
   if (ws.stealChan.hasRequest()) {
     auto tasks = splitLowest(ctx, genStack, rootDepth, chunk);

@@ -62,8 +62,9 @@ struct MetricsSnapshot {
   // combined; see runtime/health.hpp). Folded in at gather time from the
   // locality's rt::health::Watchdog; 0 when the watchdog is off.
   std::uint64_t healthWarnings = 0;
-  // Network totals, filled once at gather time from rt::Network (they are
-  // fabric-wide, not per-locality). networkMessages counts logical sends;
+  // Network totals, filled at gather time from each rank's own transport
+  // (the traffic that rank sent) and summed over ranks, so every link is
+  // counted once, by its sender. networkMessages counts logical sends;
   // networkFrames counts wire frames (one per batch flush), so
   // frames <= messages and the gap is what batching saved. batched +
   // immediate splits the messages by whether their frame carried >= 2.
@@ -76,8 +77,8 @@ struct MetricsSnapshot {
   // (back-pressure events; they are delivered later, never lost).
   std::uint64_t networkSpills = 0;
   // Idle-link liveness probes written by the TCP backend (--peer-timeout-ms);
-  // always 0 on the simulated backend (threads in one process cannot die
-  // separately). Never counted in networkMessages/Frames/Bytes.
+  // always 0 on the simulated backend (a simulated rank that dies says so
+  // through the fabric). Never counted in networkMessages/Frames/Bytes.
   std::uint64_t networkHeartbeats = 0;
   // Highest in-flight queue depth observed on any single link.
   std::uint64_t linkQueueHighWater = 0;

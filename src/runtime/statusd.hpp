@@ -16,10 +16,9 @@
 //
 // The server renders from RankStatus values pulled through a Source
 // callback on each request, so a scrape always sees the live counters; the
-// callback must stay valid until stop() returns. Under the simulated
-// backend one server reports every locality; under TCP each rank runs its
-// own server on --status-port + rank (mirroring launch_local.sh's
-// base-port + rank convention).
+// callback must stay valid until stop() returns. Each engine rank runs its
+// own server on --status-port + rank, simulated or TCP (mirroring
+// launch_local.sh's base-port + rank convention).
 
 #include <atomic>
 #include <cstdint>

@@ -31,8 +31,8 @@
 // NACKs (empty chunks) release the slot the same way, so a refused steal
 // frees the thief to try another victim immediately. Expiry covers lost
 // replies on a congested fabric: the transport never drops messages, but a
-// reply stuck behind a full link (see network.hpp back-pressure) can
-// arrive after the timeout, which is exactly the stale-reply case above.
+// reply stuck behind a full link (see transport/shaping.hpp back-pressure)
+// can arrive after the timeout, which is exactly the stale-reply case above.
 
 #include <atomic>
 #include <chrono>

@@ -23,7 +23,12 @@ struct ThreadBuffer {
   std::size_t capacity = 0;
   std::unique_ptr<Event[]> slots;
   std::atomic<std::size_t> count{0};
-  std::atomic<std::uint64_t> dropped{0};
+  // Events lost to the full buffer, indexed by the rank they were recorded
+  // for: ranks hosted in one process share the registry, and each rank's
+  // batch must report only its own losses. The lock is taken only once the
+  // buffer is full, never on the recording path proper.
+  Mutex dropMtx;
+  std::vector<std::uint64_t> dropped GUARDED_BY(dropMtx);
 };
 
 // Global buffer registry. The mutex is touched only at thread registration,
@@ -78,7 +83,10 @@ void recordSlow(Ev kind, int rank, std::uint64_t a, std::uint64_t b) {
   if (idx >= buf->capacity) {
     // Overflow policy: drop the new event and account for it. Keeping the
     // recorded prefix immutable is what makes concurrent harvest safe.
-    buf->dropped.fetch_add(1, std::memory_order_relaxed);
+    const auto r = static_cast<std::size_t>(std::max(rank, 0));
+    LockGuard lock(buf->dropMtx);
+    if (buf->dropped.size() <= r) buf->dropped.resize(r + 1);
+    ++buf->dropped[r];
     return;
   }
   Event& e = buf->slots[idx];
@@ -137,7 +145,14 @@ Batch Session::collect(int rankFilter) {
       if (rankFilter >= 0 && e.rank != rankFilter) continue;
       out.events.push_back(e);
     }
-    out.dropped += buf->dropped.load(std::memory_order_relaxed);
+    {
+      LockGuard drops(buf->dropMtx);
+      for (std::size_t r = 0; r < buf->dropped.size(); ++r) {
+        if (rankFilter < 0 || r == static_cast<std::size_t>(rankFilter)) {
+          out.dropped += buf->dropped[r];
+        }
+      }
+    }
     if (!buf->name.empty()) {
       out.threadNames.push_back({buf->tid, buf->name});
     }

@@ -116,8 +116,8 @@ inline void nameThread(const std::string& name) {
   detail::nameThreadSlow(name);
 }
 
-// Events harvested from one rank (or a whole sim process). This is what a
-// non-zero TCP rank ships to rank 0 under tag::kTraceData.
+// Events harvested from one rank (or a whole process). This is what every
+// non-zero rank ships to rank 0 under tag::kTraceData.
 struct Batch {
   std::int32_t rank = 0;
   // Clock-alignment scratch, in nanoseconds. On the wire (rank i -> 0) it
@@ -148,8 +148,8 @@ struct Batch {
 };
 
 // The process-wide trace session. begin()/end() are refcounted so the
-// localities of an in-process multi-rank run (tests drive two TCP ranks as
-// threads) can share one armed session; the first begin() resets the buffer
+// ranks of an in-process multi-rank run (simulated ranks, or tests driving
+// two TCP ranks as threads) can share one armed session; the first begin() resets the buffer
 // registry, the last end() disarms recording. Buffers stay alive until the
 // next begin(), so a harvest - or a straggling transport thread's final
 // records - never touches freed memory.
@@ -163,9 +163,9 @@ class Session {
 
   // Copy out every recorded event (rankFilter < 0) or only the given rank's
   // (an in-process multi-rank run shares one registry; filtering keeps each
-  // rank's shipped batch disjoint). Safe while recording continues: events
-  // appended after the harvest are simply not included. The dropped count
-  // is registry-wide, not per rank.
+  // rank's shipped batch disjoint), with the matching count of events
+  // dropped to full buffers. Safe while recording continues: events
+  // appended after the harvest are simply not included.
   Batch collect(int rankFilter);
 };
 
@@ -182,12 +182,12 @@ void writeChromeJson(const std::string& path,
 
 // ---- periodic telemetry sampler -----------------------------------------
 
-// One sampled telemetry row (per locality per tick).
+// One sampled telemetry row (per rank per tick).
 struct Sample {
   std::uint64_t tNanos = 0;
   int rank = 0;
   std::uint64_t poolDepth = 0;
-  std::uint64_t netQueued = 0;         // messages in flight, fabric-wide
+  std::uint64_t netQueued = 0;         // messages this rank has in flight
   std::uint64_t netQueuedMaxLink = 0;  // deepest single link/peer queue
   MetricsSnapshot metrics;
   // Per-worker phase accounting at this tick - the same accumulators the

@@ -25,6 +25,8 @@ InProcFabric::InProcFabric(int nLocalities, NetConfig cfg)
   for (std::size_t i = 0; i < n; ++i) {
     inboxes_.push_back(std::make_unique<Inbox>());
   }
+  LockGuard lock(failMtx_);
+  failureHandlers_.resize(n);
 }
 
 void InProcFabric::enqueueLocked(Link& l, Message m, Clock::time_point now) {
@@ -152,20 +154,22 @@ void InProcFabric::notifyInbox(int dst) {
   box.cv.notify_all();
 }
 
-std::uint64_t InProcFabric::queuedMessagesNow() const {
+std::uint64_t InProcFabric::queuedFrom(int src) const {
   std::uint64_t total = 0;
-  for (const auto& l : links_) {
-    LockGuard lock(l->mtx);
-    total += l->queue.size();
+  const auto [lo, hi] = linksFrom(src);
+  for (std::size_t i = lo; i < hi; ++i) {
+    LockGuard lock(links_[i]->mtx);
+    total += links_[i]->queue.size();
   }
   return total;
 }
 
-std::uint64_t InProcFabric::maxLinkQueueNow() const {
+std::uint64_t InProcFabric::maxLinkQueueFrom(int src) const {
   std::uint64_t deepest = 0;
-  for (const auto& l : links_) {
-    LockGuard lock(l->mtx);
-    if (l->queue.size() > deepest) deepest = l->queue.size();
+  const auto [lo, hi] = linksFrom(src);
+  for (std::size_t i = lo; i < hi; ++i) {
+    LockGuard lock(links_[i]->mtx);
+    deepest = std::max<std::uint64_t>(deepest, links_[i]->queue.size());
   }
   return deepest;
 }
@@ -176,17 +180,39 @@ std::uint64_t InProcFabric::linkBacklogNow(int src, int dst) const {
   return l.queue.size();
 }
 
-std::array<std::uint64_t, kNetLatencyBuckets> InProcFabric::latencyHistogram()
-    const {
+std::array<std::uint64_t, kNetLatencyBuckets> InProcFabric::latencyFrom(
+    int src) const {
   std::array<std::uint64_t, kNetLatencyBuckets> out{};
-  for (const auto& l : links_) {
-    LockGuard lock(l->mtx);
-    for (int i = 0; i < kNetLatencyBuckets; ++i) {
-      out[static_cast<std::size_t>(i)] +=
-          l->latency[static_cast<std::size_t>(i)];
+  const auto [lo, hi] = linksFrom(src);
+  for (std::size_t i = lo; i < hi; ++i) {
+    LockGuard lock(links_[i]->mtx);
+    for (std::size_t b = 0; b < out.size(); ++b) {
+      out[b] += links_[i]->latency[b];
     }
   }
   return out;
+}
+
+void InProcFabric::setPeerFailureHandler(int rank,
+                                         PeerFailureHandler handler) {
+  LockGuard lock(failMtx_);
+  failureHandlers_[static_cast<std::size_t>(rank)] = std::move(handler);
+  const auto& h = failureHandlers_[static_cast<std::size_t>(rank)];
+  if (!h) return;
+  for (const auto& [dead, why] : deaths_) {
+    if (dead != rank) h(dead, why);
+  }
+}
+
+void InProcFabric::declareDead(int rank, const std::string& why) {
+  LockGuard lock(failMtx_);
+  deaths_.emplace_back(rank, why);
+  for (int r = 0; r < n_; ++r) {
+    const auto& h = failureHandlers_[static_cast<std::size_t>(r)];
+    if (r == rank || !h) continue;
+    trace::record(trace::Ev::kPeerDead, r, static_cast<std::uint64_t>(rank));
+    h(rank, why);
+  }
 }
 
 }  // namespace yewpar::rt

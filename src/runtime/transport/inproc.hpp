@@ -8,8 +8,8 @@
 // but all inter-locality communication goes through the Transport interface
 // as serialized byte messages.
 //
-// Since the shaping layers moved to transport/shaping.hpp (so the TCP
-// backend shares them), this file holds two pieces:
+// The link-shaping layers live in transport/shaping.hpp (the TCP backend
+// shares them); this file holds three pieces:
 //
 //   * InProcFabric - the bare simulated wire. One bounded-FIFO in-flight
 //     queue per directed (src, dst) link, with a per-message delivery delay
@@ -17,12 +17,17 @@
 //     reproducible). Delivery per link stays FIFO, like a TCP stream: each
 //     message's delivery time is clamped to be no earlier than its link
 //     predecessor's. The fabric does no batching and no back-pressure and
-//     keeps no traffic counters - that is all ShapedTransport's job.
-//   * InProcTransport - the facade the engine and tests construct: an
-//     InProcFabric wrapped in a ShapedTransport, preserving the historical
-//     behaviour (send-buffer batch flush, bounded in-flight queues with
-//     shed-to-spill, per-link counters) with the shaping logic now backend-
-//     generic.
+//     keeps no traffic counters - that is all ShapedTransport's job. It
+//     does carry rank-failure notification: a simulated rank that dies is
+//     declared dead here and every other rank's callback fires.
+//   * InProcPort - one rank's endpoint on a shared fabric. The engine runs
+//     each simulated rank over its own ShapedTransport wrapping its own
+//     port, exactly as a TCP rank wraps its TcpTransport, so every rank
+//     counts only its own traffic.
+//   * InProcTransport - a one-object facade for tests and benches: an
+//     InProcFabric wrapped in a single ShapedTransport serving every
+//     locality (send-buffer batch flush, bounded in-flight queues with
+//     shed-to-spill, per-link counters).
 //
 // Self-sends (src == dst, e.g. the manager shutdown nudge) are loopback:
 // they bypass the delay model here and bypass batching/caps in the shaper.
@@ -40,6 +45,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -88,8 +94,12 @@ class InProcFabric : public Transport {
   // Instantaneous depths for the sampler and for the shaper's queue cap:
   // messages whose delay has not yet matured (plus undelivered matured
   // ones) count as in flight on their link.
-  std::uint64_t queuedMessagesNow() const override;
-  std::uint64_t maxLinkQueueNow() const override;
+  std::uint64_t queuedMessagesNow() const override {
+    return queuedFrom(kAllRanks);
+  }
+  std::uint64_t maxLinkQueueNow() const override {
+    return maxLinkQueueFrom(kAllRanks);
+  }
   std::uint64_t linkBacklogNow(int src, int dst) const override;
 
   // Modelled-delay histogram summed over links: bucket i counts messages
@@ -97,7 +107,29 @@ class InProcFabric : public Transport {
   // microseconds, bucket 0 being < 1us (rt::netLatencyBucketFor). The
   // shaper adds its congestion-wait samples on top.
   std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
-      const override;
+      const override {
+    return latencyFrom(kAllRanks);
+  }
+
+  // The same three readings restricted to the links leaving `src`
+  // (kAllRanks = every link): a rank's share of the fabric, so summing
+  // the per-rank readings over all ranks counts each link once.
+  static constexpr int kAllRanks = -1;
+  std::uint64_t queuedFrom(int src) const;
+  std::uint64_t maxLinkQueueFrom(int src) const;
+  std::array<std::uint64_t, kNetLatencyBuckets> latencyFrom(int src) const;
+
+  // ---- rank failure ----------------------------------------------------
+  // Register `rank`'s peer-failure callback (an empty handler unregisters).
+  // A death declared before registration is replayed at once, so a rank
+  // that starts late still hears about a peer that already failed.
+  void setPeerFailureHandler(int rank, PeerFailureHandler handler);
+
+  // Declare `rank` dead: every other rank's callback fires with (rank,
+  // why). Callbacks run under the fabric's failure lock, so once
+  // setPeerFailureHandler(r, {}) returns no callback of r is in flight;
+  // they must not call back into the fabric.
+  void declareDead(int rank, const std::string& why);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -144,6 +176,15 @@ class InProcFabric : public Transport {
   void enqueueLocked(Link& l, Message m, Clock::time_point now)
       REQUIRES(l.mtx);
 
+  // Index range in links_ of the links leaving `src` (one row, as links_
+  // is row-major by src), or of every link for kAllRanks.
+  std::pair<std::size_t, std::size_t> linksFrom(int src) const {
+    const auto n = static_cast<std::size_t>(n_);
+    if (src == kAllRanks) return {0, n * n};
+    const auto row = static_cast<std::size_t>(src);
+    return {row * n, (row + 1) * n};
+  }
+
   // Pop the first deliverable message in round-robin link order.
   std::optional<Message> pollNow(int loc, Clock::time_point now);
 
@@ -157,91 +198,81 @@ class InProcFabric : public Transport {
   NetConfig cfg_;
   std::vector<std::unique_ptr<Link>> links_;    // n_ * n_, row-major by src
   std::vector<std::unique_ptr<Inbox>> inboxes_;
+
+  Mutex failMtx_;
+  std::vector<PeerFailureHandler> failureHandlers_ GUARDED_BY(failMtx_);
+  std::vector<std::pair<int, std::string>> deaths_ GUARDED_BY(failMtx_);
 };
 
-// The simulated backend as the rest of the runtime sees it: a shaped
-// fabric. Everything forwards to the ShapedTransport member, which owns the
-// batching/back-pressure/counter behaviour documented in shaping.hpp.
-class InProcTransport : public Transport {
+// One rank's endpoint on a shared InProcFabric: sends and receives for
+// `rank` only, reports only the links leaving `rank`, and registers the
+// rank's peer-failure callback with the fabric. Messages and frames are
+// counted by the ShapedTransport wrapped around the port, as on TCP.
+class InProcPort : public Transport {
  public:
-  explicit InProcTransport(int nLocalities, NetConfig cfg = NetConfig{})
-      : fabric_(nLocalities, cfg), shaper_(fabric_, cfg) {}
+  InProcPort(InProcFabric& fabric, int rank)
+      : fabric_(fabric), rank_(rank) {}
+  ~InProcPort() override { fabric_.setPeerFailureHandler(rank_, nullptr); }
 
-  // Legacy convenience: a fixed one-way latency on every link and no
-  // batching/back-pressure (Params::networkDelayMicros).
-  InProcTransport(int nLocalities, double delayMicros)
-      : InProcTransport(nLocalities, [&] {
-          NetConfig c;
-          if (delayMicros > 0) {
-            c.delay = DelayModel{DelayModel::Kind::Fixed, delayMicros, 0.0};
-          }
-          return c;
-        }()) {}
+  InProcPort(const InProcPort&) = delete;
+  InProcPort& operator=(const InProcPort&) = delete;
 
-  int size() const override { return shaper_.size(); }
-  const NetConfig& config() const { return shaper_.config(); }
-
-  void send(Message m) override { shaper_.send(std::move(m)); }
-  void broadcast(int src, int tagId,
-                 const std::vector<std::uint8_t>& payload) override {
-    shaper_.broadcast(src, tagId, payload);
-  }
+  int size() const override { return fabric_.size(); }
+  void send(Message m) override { fabric_.send(std::move(m)); }
   void sendFrame(std::vector<Message> frame) override {
-    shaper_.sendFrame(std::move(frame));
+    fabric_.sendFrame(std::move(frame));
   }
-  void flushAll() override { shaper_.flushAll(); }
-  void shutdown() override { shaper_.shutdown(); }
-
   std::optional<Message> tryRecv(int loc) override {
-    return shaper_.tryRecv(loc);
+    return fabric_.tryRecv(loc);
   }
   std::optional<Message> recvWait(
       int loc, std::chrono::microseconds timeout) override {
-    return shaper_.recvWait(loc, timeout);
+    return fabric_.recvWait(loc, timeout);
   }
 
-  std::uint64_t messagesSent() const override {
-    return shaper_.messagesSent();
-  }
-  std::uint64_t bytesSent() const override { return shaper_.bytesSent(); }
-  std::uint64_t framesSent() const override { return shaper_.framesSent(); }
-  std::uint64_t batchedMessages() const override {
-    return shaper_.batchedMessages();
-  }
-  std::uint64_t immediateMessages() const override {
-    return shaper_.immediateMessages();
-  }
-  std::uint64_t spilledMessages() const override {
-    return shaper_.spilledMessages();
-  }
-  std::size_t queueHighWater() const override {
-    return shaper_.queueHighWater();
-  }
+  std::uint64_t messagesSent() const override { return 0; }
+  std::uint64_t bytesSent() const override { return 0; }
+  std::uint64_t framesSent() const override { return 0; }
+
   std::uint64_t queuedMessagesNow() const override {
-    return shaper_.queuedMessagesNow();
+    return fabric_.queuedFrom(rank_);
   }
   std::uint64_t maxLinkQueueNow() const override {
-    return shaper_.maxLinkQueueNow();
+    return fabric_.maxLinkQueueFrom(rank_);
   }
   std::uint64_t linkBacklogNow(int src, int dst) const override {
-    return shaper_.linkBacklogNow(src, dst);
+    return fabric_.linkBacklogNow(src, dst);
   }
   std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
       const override {
-    return shaper_.latencyHistogram();
+    return fabric_.latencyFrom(rank_);
   }
 
-  // Per-link view for tests and the network ablation.
-  using LinkStats = ShapedTransport::LinkStats;
-  LinkStats linkStats(int src, int dst) const {
-    return shaper_.linkStats(src, dst);
+  void onPeerFailure(PeerFailureHandler handler) override {
+    fabric_.setPeerFailureHandler(rank_, std::move(handler));
   }
 
  private:
-  // Declaration order matters: the shaper wraps the fabric, so the fabric
-  // must outlive it (constructed first, destroyed last).
-  InProcFabric fabric_;
-  ShapedTransport shaper_;
+  InProcFabric& fabric_;
+  int rank_;
+};
+
+// Owns the fabric an InProcTransport shapes. A base class listed ahead of
+// ShapedTransport, so the fabric is built before the shaper that wraps it
+// and destroyed after it.
+struct InProcFabricOwner {
+  InProcFabricOwner(int nLocalities, NetConfig cfg)
+      : fabric(nLocalities, cfg) {}
+  InProcFabric fabric;
+};
+
+// A whole shaped fabric as one Transport serving every locality (tests,
+// benches): a ShapedTransport - batching, back-pressure, counters and the
+// per-link view, see shaping.hpp - over a fabric of its own.
+class InProcTransport : private InProcFabricOwner, public ShapedTransport {
+ public:
+  explicit InProcTransport(int nLocalities, NetConfig cfg = NetConfig{})
+      : InProcFabricOwner(nLocalities, cfg), ShapedTransport(fabric, cfg) {}
 };
 
 }  // namespace yewpar::rt

@@ -332,10 +332,11 @@ void ShapedTransport::shutdown() {
 void ShapedTransport::tick(int loc, Clock::time_point now) {
   for (int other = 0; other < n_; ++other) {
     if (other == loc) continue;
-    // Both directions: inbound links so a simulated receiver flushes its
-    // senders' overdue batches (every locality lives in this process), and
-    // outbound links so a TCP rank's own poll loop flushes what it buffered
-    // (its peers poll in other processes and cannot).
+    // Both directions: outbound links so a rank's own poll loop flushes
+    // what it buffered (its peers poll through their own shapers and
+    // cannot), and inbound links so a receiver sharing this shaper with
+    // its senders (the InProcTransport facade) flushes their overdue
+    // batches.
     for (Link* lp : {&link(other, loc), &link(loc, other)}) {
       Link& l = *lp;
       LockGuard lock(l.mtx);

@@ -35,10 +35,10 @@
 //
 // Receivers drive the clock: tryRecv/recvWait flush overdue batches and
 // promote spilled messages on the links adjacent to their locality (both
-// directions: inbound links for the simulated fabric where one process
-// hosts every locality, outbound links for a TCP rank whose peers poll in
-// their own processes), so a batch can never strand once anyone polls (the
-// manager loop polls every 500us).
+// directions: outbound links for an engine rank's own shaper - simulated
+// or TCP, its peers poll through shapers of their own - and inbound links
+// for a shaper hosting several localities, the InProcTransport facade), so
+// a batch can never strand once its sender's manager polls (every 500us).
 //
 // The delay model (NetConfig::delay) deliberately does NOT live here: it is
 // the simulated fabric's physics, meaningless over real sockets. It stays

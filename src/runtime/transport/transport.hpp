@@ -6,18 +6,19 @@
 // the termination detector) moves serialized Messages and never cares how
 // they travel. Two backends implement the interface:
 //
-//   * InProcTransport (transport/inproc.hpp) - the simulated fabric: all
+//   * InProcFabric (transport/inproc.hpp) - the simulated wire: all
 //     localities live in one process and messages cross thread boundaries
-//     through per-link queues with modelled delivery delays.
+//     through per-link queues with modelled delivery delays; each engine
+//     rank reaches it through its own InProcPort.
 //   * TcpTransport (transport/tcp.hpp) - one locality per OS process;
 //     messages travel as length-prefixed frames over TCP sockets, so the
 //     same binary runs as N real processes on loopback or a LAN.
 //
 // The link-shaping layers (send-buffer batching, bounded in-flight queues
 // with shed-to-spill back-pressure, per-link counters) are NOT per-backend:
-// ShapedTransport (transport/shaping.hpp) wraps any Transport and both the
-// simulated facade and the engine's TCP path run behind it, so `--net-batch`
-// and `--net-queue-cap` behave identically on both backends.
+// ShapedTransport (transport/shaping.hpp) wraps any Transport and every
+// engine rank, simulated or TCP, runs behind its own, so `--net-batch` and
+// `--net-queue-cap` behave identically on both backends.
 //
 // A Transport serves receives for one or more local localities; `recvWait`
 // and `tryRecv` take the locality id so the in-process backend can host all
@@ -126,8 +127,8 @@ class Transport {
 
   // ---- observability ----------------------------------------------------
   // Instantaneous queue depths for the telemetry sampler: messages queued
-  // fabric-wide and on the deepest single link/peer. Zero for backends that
-  // do not queue.
+  // in total and on the deepest single link/peer this transport sends on.
+  // Zero for backends that do not queue.
   virtual std::uint64_t queuedMessagesNow() const { return 0; }
   virtual std::uint64_t maxLinkQueueNow() const { return 0; }
 

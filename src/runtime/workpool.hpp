@@ -42,11 +42,11 @@
 //
 // Who calls what: local workers pop(); same-locality thieves steal();
 // the engine's manager thread answers a remote kPoolStealRequest with
-// stealChunk(Params::effectiveChunk()) - one ChunkPolicy drives both steal
+// stealChunk(Params::chunk) - one ChunkPolicy drives both steal
 // protocols (these pool steals and the Stack-Stealing generator-stack
 // splits in skeletons/stackstealing.hpp). Adaptive's ~sqrt(victim depth)
 // gives thieves more when the victim is loaded while the victim always
-// keeps the bulk; the legacy boolean `chunked` flag maps to All. Chunked
+// keeps the bulk; All is the paper's boolean chunked variant. Chunked
 // replies raise tasks-per-steal above 1 and cut message counts for the
 // same work moved (bench/ablation_chunking); no policy may change a search
 // result (tests/test_chunking.cpp).
@@ -95,7 +95,7 @@ enum class ChunkKind : std::uint8_t {
   Adaptive,  // ~sqrt of the victim's available work: the thief receives more
              // when the victim is loaded, the victim always keeps the bulk
   All,       // everything available at the split point; for stack splits this
-             // is all siblings at the lowest depth - the legacy `chunked`
+             // is all siblings at the lowest depth (the paper's chunked variant)
 };
 
 struct ChunkPolicy {

@@ -72,16 +72,6 @@ TEST(ChunkPolicy, ChunkForSizesFromAvailableWork) {
   }
 }
 
-TEST(Params, LegacyChunkedFlagMapsToAll) {
-  Params p;
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::One);
-  p.chunked = true;
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::All);
-  // An explicit policy wins over the legacy flag.
-  p.chunk = parseChunkPolicy("fixed:2");
-  EXPECT_EQ(p.effectiveChunk().kind, ChunkKind::Fixed);
-}
-
 namespace {
 
 // splitLowest only needs Ctx for its Task alias.

@@ -106,7 +106,7 @@ TEST(KnowledgeDelay, StaleBoundsNeverChangeTheOptimum) {
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 2;
-    p.networkDelayMicros = delayUs;
+    p.net.delay = DelayModel{DelayModel::Kind::Fixed, delayUs, 0.0};
     auto out = skeletons::DepthBounded<
         mc::Gen, Optimisation, BoundFunction<&mc::upperBound>,
         PruneLevel>::search(p, g, mc::rootNode(g));

@@ -19,7 +19,7 @@
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
 #include "runtime/locality.hpp"
-#include "runtime/network.hpp"
+#include "runtime/transport/inproc.hpp"
 #include "util/archive.hpp"
 
 using namespace yewpar;
@@ -97,7 +97,7 @@ TEST(NetworkBatch, SizeTriggeredFlush) {
   NetConfig cfg;
   cfg.batchSize = 3;
   cfg.flushAfter = 1h;  // deadline effectively off
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   net.send(Message{0, 1, 1, {}});
   net.send(Message{0, 1, 2, {}});
   // Two buffered messages: nothing on the wire yet.
@@ -122,7 +122,7 @@ TEST(NetworkBatch, DeadlineTriggeredFlush) {
   // Wide enough that a loaded CI runner (TSan, 1 core) cannot plausibly
   // preempt this thread past the deadline before the EXPECT_FALSE poll.
   cfg.flushAfter = 100ms;
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   net.send(Message{0, 1, 7, {}});
   EXPECT_FALSE(net.tryRecv(1).has_value());  // buffered, not yet due
   // The receiver's own poll flushes the overdue batch.
@@ -137,7 +137,7 @@ TEST(NetworkBatch, FlushAllForcesBufferedFrames) {
   NetConfig cfg;
   cfg.batchSize = 100;
   cfg.flushAfter = 1h;
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   net.send(Message{0, 1, 1, {}});
   net.send(Message{0, 1, 2, {}});
   EXPECT_FALSE(net.tryRecv(1).has_value());
@@ -156,7 +156,7 @@ TEST(NetworkBatch, SelfSendBypassesBatchingAndDelay) {
   cfg.flushAfter = 1h;
   cfg.queueCap = 1;
   cfg.delay = DelayModel::parse("fixed:1000000");
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   net.send(Message{0, 0, 42, {}});
   auto m = net.tryRecv(0);
   ASSERT_TRUE(m.has_value());
@@ -169,7 +169,7 @@ TEST(NetworkDelay, RandomPerMessageDelaysKeepLinkFifo) {
   NetConfig cfg;
   cfg.delay = DelayModel::parse("uniform:0,3000");
   cfg.seed = 99;
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   constexpr int kMsgs = 50;
   // kUser offsets: raw low integers would collide with the transport's
   // reserved link tags (tag::kBatchedFrame / tag::kHeartbeat).
@@ -188,7 +188,7 @@ TEST(NetworkDelay, RandomPerMessageDelaysKeepLinkFifo) {
 TEST(NetworkDelay, DelayHoldsDelivery) {
   NetConfig cfg;
   cfg.delay = DelayModel::parse("fixed:20000");  // 20ms
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   net.send(Message{0, 1, 1, {}});
   EXPECT_FALSE(net.tryRecv(1).has_value());  // still in flight
   auto m = net.recvWait(1, 500ms);
@@ -206,7 +206,7 @@ TEST(NetworkDelay, DelayHoldsDelivery) {
 TEST(NetworkBackPressure, FullLinkShedsToSpillAndLosesNothing) {
   NetConfig cfg;
   cfg.queueCap = 4;
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   constexpr int kMsgs = 10;
   for (int i = 0; i < kMsgs; ++i) {
     net.send(Message{0, 1, tag::kUser + i, {}});
@@ -233,7 +233,7 @@ TEST(NetworkBackPressure, CongestedLinkStillServesRequestReplyCycles) {
   NetConfig cfg;
   cfg.queueCap = 2;
   cfg.delay = DelayModel::parse("fixed:100");
-  Network net(2, cfg);
+  InProcTransport net(2, cfg);
   Locality requester(net, 0), responder(net, 1);
   std::atomic<int> acks{0};
   responder.registerHandler(tag::kUser, [&](Message&& m) {
@@ -265,7 +265,7 @@ TEST(NetworkCounters, PerLinkAtomicsSumToTotalsUnderConcurrency) {
   NetConfig cfg;
   cfg.batchSize = 4;
   cfg.flushAfter = 0us;  // every poll flushes
-  Network net(3, cfg);
+  InProcTransport net(3, cfg);
   constexpr int kPerSender = 2000;
   std::vector<std::thread> senders;
   for (int s = 0; s < 4; ++s) {
@@ -426,8 +426,9 @@ TEST(NetworkEngine, MetricsExposeTransportBehaviour) {
   auto out = runSkeleton<SynthGen, Enumeration<CountAll>>(
       Skel::DepthBounded, p, space, SynthNode{});
   EXPECT_LE(out.metrics.networkFrames, out.metrics.networkMessages);
-  // The engine flushes residual buffers before gathering, so the batching
-  // split is exact.
+  // Each rank flushes its residual buffers before its gather snapshot, so
+  // the batching split is exact (TcpEngine.BatchingSplitIsExactInTheGather
+  // checks the same over TCP).
   EXPECT_EQ(out.metrics.networkBatched + out.metrics.networkImmediate,
             out.metrics.networkMessages);
   EXPECT_GT(out.metrics.networkMessages, 0u);

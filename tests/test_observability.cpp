@@ -521,10 +521,11 @@ std::uint16_t nextPortBase() {
 }  // namespace
 
 TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
-  // A 2-locality sim run lingers after the gather; the scrape taken once
-  // /status.json reports the search inactive must agree with the Outcome -
-  // the acceptance criterion that /metrics and the final report are two
-  // views of one set of counters.
+  // A 2-locality sim run lingers after the gather, each rank on its own
+  // port (P + rank); the scrapes taken once both ranks' /status.json report
+  // the search inactive must sum to the Outcome - the acceptance criterion
+  // that /metrics and the final report are two views of one set of
+  // counters.
   for (int attempt = 0; attempt < 8; ++attempt) {
     const auto port = nextPortBase();
     Params p;
@@ -553,29 +554,35 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
       }
     });
 
-    // Poll until the linger window opens (search inactive on every rank).
-    std::string statusBody;
+    // Poll until both ranks report the search inactive, which each does
+    // only once its worker team has joined and its counters are final.
+    std::string statusBody;  // rank 0's
+    bool quiesced = false;
     const auto deadline = std::chrono::steady_clock::now() + 15s;
-    while (std::chrono::steady_clock::now() < deadline) {
-      const auto resp = httpGet(port, "/status.json");
-      if (resp.has_value() && resp->find("200 OK") != std::string::npos) {
-        statusBody = bodyOf(*resp);
-        if (statusBody.find("\"search_active\": true") ==
-            std::string::npos) {
-          break;
-        }
+    while (!quiesced && std::chrono::steady_clock::now() < deadline) {
+      quiesced = true;
+      for (int rank = 0; rank < 2 && quiesced; ++rank) {
+        const auto resp =
+            httpGet(static_cast<std::uint16_t>(port + rank), "/status.json");
+        quiesced = resp.has_value() &&
+                   resp->find("200 OK") != std::string::npos &&
+                   bodyOf(*resp).find("\"search_active\": false") !=
+                       std::string::npos;
+        if (quiesced && rank == 0) statusBody = bodyOf(*resp);
       }
-      std::this_thread::sleep_for(10ms);
+      if (!quiesced) std::this_thread::sleep_for(10ms);
     }
 
     std::string metricsBody;
-    if (!statusBody.empty() &&
-        statusBody.find("\"search_active\": false") != std::string::npos) {
+    if (quiesced) {
       const auto healthz = httpGet(port, "/healthz");
       EXPECT_TRUE(healthz.has_value() &&
                   healthz->find("200 OK") != std::string::npos);
-      const auto metrics = httpGet(port, "/metrics");
-      if (metrics.has_value()) metricsBody = bodyOf(*metrics);
+      for (int rank = 0; rank < 2; ++rank) {
+        const auto metrics =
+            httpGet(static_cast<std::uint16_t>(port + rank), "/metrics");
+        if (metrics.has_value()) metricsBody += bodyOf(*metrics);
+      }
     }
     run.join();
     if (err) continue;  // port collision with another process: retry
@@ -587,8 +594,9 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
     EXPECT_TRUE(validJson(statusBody)) << statusBody;
     EXPECT_NE(statusBody.find("\"world\": 2"), std::string::npos);
 
-    // The scrape happened after the gather quiesced the counters: summing
-    // the per-rank exposition lines reproduces the final report exactly.
+    // The scrapes happened after both ranks quiesced their counters:
+    // summing the per-rank exposition lines of both ports reproduces the
+    // final report exactly.
     EXPECT_EQ(sumCounter(metricsBody, "yewpar_nodes_processed_total"),
               res->metrics.nodesProcessed);
     EXPECT_EQ(sumCounter(metricsBody, "yewpar_tasks_spawned_total"),
@@ -618,6 +626,50 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
     return;
   }
   FAIL() << "no live status-endpoint run succeeded (ports exhausted?)";
+}
+
+TEST(StatusServer, SimRankWithATakenPortAbortsTheRunNamingIt) {
+  // Rank r of a simulated run serves --status-port + r. With rank 1's port
+  // already bound, rank 1 fails at startup; the fabric declares it dead,
+  // rank 0 aborts through the same peer-failure path a dead TCP peer takes,
+  // and the run throws naming rank 1 - within seconds, never after the
+  // gather timeout or a hang.
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const auto port = nextPortBase();
+    statusd::StatusServer blocker;
+    try {
+      blocker.start(static_cast<std::uint16_t>(port + 1), fakeRanks);
+    } catch (const TransportError&) {
+      continue;  // held by another process: try the next block
+    }
+    Params p;
+    p.nLocalities = 2;
+    p.workersPerLocality = 2;
+    p.dcutoff = 3;
+    p.statusPort = port;
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string error;
+    try {
+      skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
+          p, SynthSpace{3, 7}, SynthNode{0, 1});
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    // Rank 0's own port held by another process: try the next block.
+    if (error.find("port " + std::to_string(port) + ":") !=
+        std::string::npos) {
+      continue;
+    }
+    EXPECT_NE(error.find("rank 1 died"), std::string::npos) << error;
+    EXPECT_NE(error.find("port " + std::to_string(port + 1)),
+              std::string::npos)
+        << error;
+    EXPECT_LT(elapsed, 10s);
+    return;
+  }
+  FAIL() << "no attempt could bind a blocker port";
 }
 
 // ---- sampler CSV: per-worker columns --------------------------------------

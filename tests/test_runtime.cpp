@@ -9,7 +9,7 @@
 #include "runtime/channel.hpp"
 #include "runtime/locality.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/network.hpp"
+#include "runtime/transport/inproc.hpp"
 #include "runtime/steal_slot.hpp"
 #include "runtime/termination.hpp"
 #include "runtime/worker_team.hpp"
@@ -513,7 +513,7 @@ TEST(Workpool, PopWaitWakesOnPush) {
 }
 
 TEST(Network, DeliversPointToPoint) {
-  Network net(3);
+  InProcTransport net(3);
   net.send(Message{0, 2, 42, toBytes(std::int32_t{7})});
   auto m = net.recvWait(2, 100ms);
   ASSERT_TRUE(m.has_value());
@@ -525,7 +525,7 @@ TEST(Network, DeliversPointToPoint) {
 }
 
 TEST(Network, FifoPerDestination) {
-  Network net(2);
+  InProcTransport net(2);
   // kUser offsets: raw low integers would collide with the transport's
   // reserved link tags (tag::kBatchedFrame / tag::kHeartbeat).
   for (int i = 0; i < 10; ++i) {
@@ -539,7 +539,7 @@ TEST(Network, FifoPerDestination) {
 }
 
 TEST(Network, BroadcastSkipsSender) {
-  Network net(4);
+  InProcTransport net(4);
   net.broadcast(1, 9, {});
   EXPECT_FALSE(net.tryRecv(1).has_value());
   for (int loc : {0, 2, 3}) {
@@ -551,7 +551,9 @@ TEST(Network, BroadcastSkipsSender) {
 }
 
 TEST(Network, DelayHoldsDelivery) {
-  Network net(2, /*delayMicros=*/20000);  // 20ms
+  NetConfig cfg;
+  cfg.delay = DelayModel::parse("fixed:20000");  // 20ms
+  InProcTransport net(2, cfg);
   net.send(Message{0, 1, 1, {}});
   EXPECT_FALSE(net.tryRecv(1).has_value());  // still in flight
   auto m = net.recvWait(1, 500ms);
@@ -559,7 +561,7 @@ TEST(Network, DelayHoldsDelivery) {
 }
 
 TEST(Locality, DispatchesToHandlers) {
-  Network net(2);
+  InProcTransport net(2);
   Locality a(net, 0), b(net, 1);
   std::atomic<int> got{0};
   b.registerHandler(100, [&](Message&& m) {
@@ -575,7 +577,7 @@ TEST(Locality, DispatchesToHandlers) {
 }
 
 TEST(Termination, SingleLocalityQuiesces) {
-  Network net(1);
+  InProcTransport net(1);
   Locality loc(net, 0);
   TerminationDetector term(loc, 1);
   loc.start();
@@ -592,7 +594,7 @@ TEST(Termination, SingleLocalityQuiesces) {
 }
 
 TEST(Termination, WaitsForOutstandingTasks) {
-  Network net(2);
+  InProcTransport net(2);
   Locality l0(net, 0), l1(net, 1);
   TerminationDetector t0(l0, 2), t1(l1, 2);
   l0.start();
@@ -617,7 +619,7 @@ TEST(Termination, WaitsForOutstandingTasks) {
 }
 
 TEST(Termination, ManyTasksAcrossThreads) {
-  Network net(1);
+  InProcTransport net(1);
   Locality loc(net, 0);
   TerminationDetector term(loc, 1);
   loc.start();
@@ -684,7 +686,7 @@ TEST(DepthPool, ConcurrentPushPopLosesNothing) {
 }
 
 TEST(Network, ConcurrentSendersPreserveCounts) {
-  Network net(2);
+  InProcTransport net(2);
   constexpr int kPerSender = 2000;
   std::vector<std::thread> senders;
   for (int s = 0; s < 3; ++s) {
@@ -712,7 +714,7 @@ TEST(Network, PerLinkCountersMatchFabricTotals) {
   // the batch flush path; counters are now per-link atomics and the fabric
   // totals are their sum (the full concurrency stress lives in
   // test_network.cpp).
-  Network net(3);
+  InProcTransport net(3);
   net.send(Message{0, 1, 1, toBytes(std::int32_t{7})});
   net.send(Message{0, 2, 2, toBytes(std::int64_t{8})});
   net.send(Message{1, 2, 3, {}});
@@ -734,7 +736,7 @@ TEST(Network, PerLinkCountersMatchFabricTotals) {
 TEST(Termination, NoFalsePositiveWhileTasksFlow) {
   // Continuously create/complete tasks with a deliberate lag; the detector
   // must never fire while any task is outstanding.
-  Network net(1);
+  InProcTransport net(1);
   Locality loc(net, 0);
   TerminationDetector term(loc, 1);
   loc.start();

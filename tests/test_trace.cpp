@@ -9,9 +9,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -121,6 +124,33 @@ TEST(TraceRing, ConcurrentWritersAccountForEveryEvent) {
   }
 }
 
+TEST(TraceRing, DroppedEventsAreCountedOncePerRank) {
+  // Two threads overflow their buffers recording for ranks 0 and 1; each
+  // rank's batch must report only its own drops, so summing the batches of
+  // one in-process multi-rank run counts every drop exactly once.
+  constexpr std::size_t kCapacity = 8;
+  constexpr std::uint64_t kPerRank[2] = {20, 33};
+  trace::session().begin(kCapacity);
+  std::vector<std::thread> writers;
+  for (int rank = 0; rank < 2; ++rank) {
+    writers.emplace_back([rank, &kPerRank] {
+      for (std::uint64_t i = 0; i < kPerRank[rank]; ++i) {
+        trace::record(trace::Ev::kPoolPush, rank, i);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  const auto rank0 = trace::session().collect(0);
+  const auto rank1 = trace::session().collect(1);
+  const auto all = trace::session().collect(-1);
+  trace::session().end();
+
+  EXPECT_EQ(rank0.dropped, kPerRank[0] - kCapacity);
+  EXPECT_EQ(rank1.dropped, kPerRank[1] - kCapacity);
+  EXPECT_EQ(rank0.dropped + rank1.dropped, all.dropped);
+  EXPECT_EQ(all.events.size() + all.dropped, kPerRank[0] + kPerRank[1]);
+}
+
 TEST(TraceRing, SessionRearmsCleanly) {
   trace::session().begin(64);
   trace::record(trace::Ev::kIncumbent, 0, 1);
@@ -162,7 +192,44 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
   EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"task\""), std::string::npos);
   EXPECT_NE(text.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(text.find("L0.w0"), std::string::npos);
+  // Every rank's batch keeps its thread names. Whatever the schedule, the
+  // termination leader records its probes and each rank's manager receives
+  // the leader's snapshot requests or replies, so those tracks are always
+  // named. Which workers run tasks is up to the scheduler (the ranks start
+  // concurrently, so rank 1 may even steal the root before rank 0's team
+  // pops it), but every task span sits on a named worker track of its rank.
+  using Track = std::pair<int, unsigned long>;  // (pid, tid)
+  const auto track = [](const std::smatch& m, int at) {
+    return Track{std::stoi(m[at]), std::stoul(m[at + 1])};
+  };
+  std::map<Track, std::string> names;
+  const std::regex nameRe(
+      "\"name\":\"thread_name\",\"pid\":([0-9]+),\"tid\":([0-9]+),"
+      "\"args\":\\{\"name\":\"([^\"]*)\"");
+  for (std::sregex_iterator it(text.begin(), text.end(), nameRe), end;
+       it != end; ++it) {
+    names[track(*it, 1)] = (*it)[3];
+  }
+  for (const auto& [pid, name] : std::vector<std::pair<int, std::string>>{
+           {0, "L0.term"}, {0, "L0.mgr"}, {1, "L1.mgr"}}) {
+    EXPECT_TRUE(std::any_of(names.begin(), names.end(),
+                            [&](const auto& n) {
+                              return n.first.first == pid && n.second == name;
+                            }))
+        << "no track named " << name;
+  }
+  const std::regex spanRe(
+      "\"cat\":\"task\",\"pid\":([0-9]+),\"tid\":([0-9]+)");
+  int taskSpans = 0;
+  for (std::sregex_iterator it(text.begin(), text.end(), spanRe), end;
+       it != end; ++it) {
+    ++taskSpans;
+    const auto found = names.find(track(*it, 1));
+    const auto worker = "L" + (*it)[1].str() + ".w";
+    EXPECT_TRUE(found != names.end() && found->second.rfind(worker, 0) == 0)
+        << "task span on a track not named " << worker << "*: " << it->str();
+  }
+  EXPECT_GT(taskSpans, 0);
   // Both simulated localities recorded under their own pid.
   EXPECT_NE(text.find("\"pid\":0"), std::string::npos);
   EXPECT_NE(text.find("\"pid\":1"), std::string::npos);
@@ -240,7 +307,10 @@ TEST(TraceSampler, CsvHasHeaderAndOneLinePerRow) {
 }
 
 TEST(TraceSampler, EngineRunWritesTelemetryCsv) {
+  // Every simulated rank samples itself: rank 0 writes the CSV path, rank 1
+  // the same path suffixed ".rank1".
   TempFile csv("test_trace_telemetry");
+  const std::string csv1 = csv.path + ".rank1";
   Params p;
   p.nLocalities = 2;
   p.workersPerLocality = 2;
@@ -253,10 +323,13 @@ TEST(TraceSampler, EngineRunWritesTelemetryCsv) {
       skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
           p, space, SynthNode{0, 1});
   EXPECT_TRUE(res.complete);
-  const auto text = slurp(csv.path);
-  EXPECT_EQ(text.find("t_ms,rank,pool_depth"), 0u);
-  // The final stop()-time sample guarantees one row per locality at least.
-  EXPECT_NE(text.find("\n"), std::string::npos);
+  for (const auto& path : {csv.path, csv1}) {
+    const auto text = slurp(path);
+    EXPECT_EQ(text.find("t_ms,rank,pool_depth"), 0u) << path;
+    // The final stop()-time sample guarantees one row per rank at least.
+    EXPECT_NE(text.find("\n"), std::string::npos) << path;
+  }
+  std::remove(csv1.c_str());
 }
 
 // ---- 2-rank TCP run: merged trace carries both ranks ----------------------

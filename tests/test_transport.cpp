@@ -929,6 +929,29 @@ TEST(TcpEngine, DecisionShortCircuitCrossesRanks) {
   EXPECT_TRUE(tcp.decided);
 }
 
+TEST(TcpEngine, BatchingSplitIsExactInTheGather) {
+  // The TCP leg of NetworkEngine.MetricsExposeTransportBehaviour: each rank
+  // flushes its own links before snapshotting its transport counters, so
+  // the merged batched/immediate split adds up to the message count. The
+  // 20 ms flush deadline keeps idle ranks' steal requests buffered at
+  // quiesce, so a snapshot taken without that flush would come up short.
+  const SynthSpace space{3, 6};
+  Params p;
+  p.nLocalities = 2;
+  p.workersPerLocality = 2;
+  p.dcutoff = 3;
+  p.net.batchSize = 16;
+  p.net.flushAfter = 20ms;
+  const auto tcp = runTwoRanks(p, [&](const Params& pr) {
+    return skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
+        pr, space, SynthNode{});
+  });
+  EXPECT_LE(tcp.metrics.networkFrames, tcp.metrics.networkMessages);
+  EXPECT_EQ(tcp.metrics.networkBatched + tcp.metrics.networkImmediate,
+            tcp.metrics.networkMessages);
+  EXPECT_GT(tcp.metrics.networkMessages, 0u);
+}
+
 TEST(TcpEngine, KilledRankAbortsSurvivorNamingDeadRank) {
   // Kill-one-rank: rank 1 joins the mesh as a bare transport (so the start
   // barrier passes) and then vanishes mid-run via abandon() - the closest a
