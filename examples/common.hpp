@@ -147,18 +147,18 @@ inline Params paramsFromFlags(const Flags& f) {
   }
   // Observability (docs/ARCHITECTURE.md "Observability"): --trace FILE arms
   // event tracing and rank 0 writes one merged, clock-aligned Chrome
-  // trace_event JSON; --sample-interval-ms N runs the periodic telemetry
-  // sampler; --sample-csv FILE names its output (default telemetry.csv;
-  // rank r > 0 appends ".rank<r>").
+  // trace_event JSON; --sample-interval-ms N keeps a telemetry CSV row
+  // every N ms; --sample-csv FILE names it (default telemetry.csv; rank
+  // r > 0 appends ".rank<r>").
   p.traceFile = f.getString("trace", "");
   p.sampleIntervalMs = f.getUint64("sample-interval-ms", 0);
   p.sampleCsv = f.getString("sample-csv", "");
-  // Live status endpoint and health watchdog (docs/FLAGS.md):
+  // Live status endpoint and health rules (docs/FLAGS.md):
   // --status-port N serves GET /metrics, /status.json and /healthz (rank r
   // listens on N + r); --status-linger-ms keeps serving that
   // long after the search so scrapers can read the final counters;
-  // --health-interval-ms N runs the watchdog at that cadence;
-  // --stall-warn-ms M arms its stalled-incumbent rule.
+  // --health-interval-ms N runs the health rules on the telemetry tick;
+  // --stall-warn-ms M arms the stalled-incumbent rule.
   {
     const auto port = f.getInt("status-port", -1);
     if (port > 65535) {
@@ -278,14 +278,14 @@ void printMetrics(const Out& out) {
               static_cast<unsigned long long>(
                   out.metrics.boundUpdatesApplied));
   // Only interesting when non-zero: contended pool locks mean the team is
-  // hammering one shard, and health warnings mean the watchdog fired.
+  // hammering one shard, and health warnings mean a health rule fired.
   if (out.metrics.poolLockContentions != 0) {
     std::printf("pool:      %llu contended lock acquisitions\n",
                 static_cast<unsigned long long>(
                     out.metrics.poolLockContentions));
   }
   if (out.metrics.healthWarnings != 0) {
-    std::printf("health:    %llu watchdog warnings\n",
+    std::printf("health:    %llu rule warnings\n",
                 static_cast<unsigned long long>(out.metrics.healthWarnings));
   }
   rt::prof::printPhaseTable(out.profiles);

@@ -119,9 +119,9 @@ struct Params {
   // docs/ARCHITECTURE.md "Observability"). Empty traceFile = tracing
   // disarmed, whose per-event cost is one relaxed atomic load. Every rank
   // records; rank 0 writes the single merged, clock-aligned Chrome
-  // trace_event JSON. sampleIntervalMs 0 = no telemetry sampler; with it,
-  // every rank samples itself and rank r > 0 appends ".rank<r>" to the CSV
-  // path.
+  // trace_event JSON. sampleIntervalMs 0 = no telemetry CSV; with it, every
+  // rank's telemetry tick (runtime/telemetry.hpp) keeps a row per tick and
+  // rank r > 0 appends ".rank<r>" to the CSV path.
   std::string traceFile;
   std::uint64_t sampleIntervalMs = 0;
   std::string sampleCsv;
@@ -132,7 +132,8 @@ struct Params {
 
   // Live status endpoint (--status-port; runtime/statusd.hpp). -1 = off.
   // Rank r serves statusPort + r on both transports (mirroring
-  // launch_local.sh's base-port + rank scheme).
+  // launch_local.sh's base-port + rank scheme); a rank whose port would
+  // pass 65535 fails the run.
   int statusPort = -1;
 
   // Keep serving the status endpoint for this long after the search
@@ -140,8 +141,10 @@ struct Params {
   // quiesced counters before the process exits. 0 = stop immediately.
   std::uint64_t statusLingerMs = 0;
 
-  // Health watchdog cadence (--health-interval-ms; runtime/health.hpp).
-  // 0 = watchdog off.
+  // Health rules (--health-interval-ms; runtime/health.hpp), evaluated on
+  // the same telemetry tick as the CSV rows: 0 = rules off. When both this
+  // and sampleIntervalMs are non-zero they must be equal (one tick, one
+  // cadence); the engine rejects differing values.
   std::uint64_t healthIntervalMs = 0;
 
   // Stalled-incumbent health rule: warn when the incumbent has not improved

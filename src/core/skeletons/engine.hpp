@@ -19,6 +19,7 @@
 #include <exception>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "runtime/profile.hpp"
 #include "runtime/statusd.hpp"
 #include "runtime/steal_slot.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/trace.hpp"
 #include "runtime/transport/inproc.hpp"
 #include "runtime/transport/shaping.hpp"
@@ -92,7 +94,11 @@ class EngineCtx {
             rt::PoolConfig{params.effectiveOrderedShards(),
                            params.orderedWindow, id})),
         profile_(params.workersPerLocality),
-        space_(fromBytes<Space>(spaceBytes)) {
+        space_(fromBytes<Space>(spaceBytes)),
+        health_(rt::health::Config{.stallWarn = std::chrono::milliseconds(
+                                       params.stallWarnMs)},
+                id),
+        tick_(params.sampleIntervalMs, params.healthIntervalMs, health_) {
     reg_.loc = &locality_;
     reg_.decisionTarget = params.decisionTarget;
     reg_.maxNodes = params.maxNodes;
@@ -119,30 +125,41 @@ class EngineCtx {
   std::vector<std::unique_ptr<WorkerState>>& workers() { return workers_; }
   int id() const { return locality_.id(); }
   rt::prof::Profile& profile() { return profile_; }
-  rt::health::Watchdog& health() { return health_; }
+  const rt::health::Rules& health() const { return health_; }
+  rt::telemetry::Tick& tick() { return tick_; }
 
-  // Start the health watchdog over this locality's live state (no-op when
-  // --health-interval-ms is 0). Call after construction, before workers;
-  // stopHealth() before gathering so firing counts are final.
-  void startHealth() {
-    if (params_.healthIntervalMs == 0) return;
-    rt::health::Config cfg;
-    cfg.interval = std::chrono::milliseconds(params_.healthIntervalMs);
-    cfg.stallWarn = std::chrono::milliseconds(params_.stallWarnMs);
-    rt::health::Probe probe;
-    probe.profile = [this] { return profile_.snapshot(id(), 0); };
-    probe.failedSteals = [this] {
-      return reg_.metrics.failedSteals.load(std::memory_order_relaxed);
-    };
-    probe.objective = [this] {
-      return reg_.localBound.load(std::memory_order_relaxed);
-    };
-    probe.objectiveNone = kObjMin;
-    probe.lastProbeNanos = [this] { return term_.lastProbeNanos(); };
-    probe.searchActive = [this] { return !term_.finished(); };
-    health_.start(cfg, std::move(probe), id());
+  // The one builder of this rank's telemetry Sample: the tick's CSV rows and
+  // health windows, every status scrape and, after quiesce, the final Sample
+  // the gather ships all come from here. `teamWallNanos` stamps the profile
+  // (0 for live Samples, taken while the team runs).
+  rt::telemetry::Sample sample(std::uint64_t teamWallNanos = 0) {
+    rt::telemetry::Sample s;
+    s.tNanos = rt::prof::nowNanos();
+    s.rank = id();
+    s.searchActive = !term_.finished();
+    s.poolDepth = pool_->size();
+    const auto& net = locality_.network();
+    s.netQueued = net.queuedMessagesNow();
+    s.netQueuedMaxLink = net.maxLinkQueueNow();
+    const std::int64_t bound = reg_.localBound.load(std::memory_order_relaxed);
+    if (bound != kObjMin) s.objective = bound;
+    s.lastProbeNanos = term_.lastProbeNanos();
+    auto& m = s.metrics;
+    m = reg_.metrics.snapshot();
+    m.poolLockContentions = pool_->lockContentions();
+    m.healthWarnings = health_.totalFirings();
+    m.networkMessages = net.messagesSent();
+    m.networkBytes = net.bytesSent();
+    m.networkFrames = net.framesSent();
+    m.networkBatched = net.batchedMessages();
+    m.networkImmediate = net.immediateMessages();
+    m.networkSpills = net.spilledMessages();
+    m.networkHeartbeats = net.heartbeatsSent();
+    m.linkQueueHighWater = net.queueHighWater();
+    m.netLatencyHist = net.latencyHistogram();
+    s.profile = profile_.snapshot(id(), teamWallNanos);
+    return s;
   }
-  void stopHealth() { health_.stop(); }
 
   // ---- spawning ------------------------------------------------------
 
@@ -224,8 +241,8 @@ class EngineCtx {
   };
 
   // One rank's final results for rank 0's merge, shipped under
-  // tag::kGatherReply by every other rank: the metrics snapshot (with this
-  // rank's transport counters folded in), the phase profile, the
+  // tag::kGatherReply by every other rank: its final telemetry Sample's
+  // metrics (transport counters included) and phase profile, the
   // enumeration accumulator, and the rank's best incumbent.
   struct GatherMsg {
     rt::MetricsSnapshot metrics;
@@ -404,7 +421,6 @@ class EngineCtx {
   rt::TerminationDetector term_;
   std::unique_ptr<rt::Workpool<Task>> pool_;
   rt::prof::Profile profile_;
-  rt::health::Watchdog health_;
   Reg reg_;
   Space space_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
@@ -412,6 +428,9 @@ class EngineCtx {
   std::atomic<int> pendingRemoteCount_{0};
   std::atomic<int> busyWorkers_{0};
   rt::StealSlot stealSlot_{kStealTimeout};
+  rt::health::Rules health_;
+  // Last: its thread reads the members above, so it is joined first.
+  rt::telemetry::Tick tick_;
 };
 
 // Generic engine: Coordination supplies executeTask() and onIdle().
@@ -498,8 +517,8 @@ struct Engine {
 
   // One locality's whole run, identical on both transports: status
   // endpoint, failure callback, root and termination leader (rank 0),
-  // health, sampler, worker team, quiesce, then the gather - every rank
-  // flushes its links and snapshots its results into a GatherMsg, and rank
+  // telemetry tick, worker team, quiesce, then the gather - every rank
+  // flushes its links and takes its final Sample into a GatherMsg, and rank
   // 0 merges all of them (its own included) while the others ship theirs
   // under kGatherReply and return isRoot = false.
   static Out runRank(rt::Transport& net, const Params& p,
@@ -511,20 +530,22 @@ struct Engine {
     // Each rank serves its own status endpoint on --status-port + rank
     // (the same base + rank convention launch_local.sh uses for the mesh).
     // Declared after ctx: its listener thread reads ctx through the source
-    // callback, so it must be destroyed first. The endpoint reports the
-    // search active until this rank's worker team has joined: workers fold
-    // their node counts in on exit, so once a scraper sees it inactive the
-    // counters are the ones the gather reports.
-    std::atomic<bool> teamRunning{true};
+    // callback, so it must be destroyed first.
     rt::statusd::StatusServer statusServer;
     const std::uint64_t runStartNanos = rt::prof::nowNanos();
     if (p.statusPort >= 0) {
-      statusServer.start(
-          static_cast<std::uint16_t>(p.statusPort + p.rank),
-          [&ctx, &net, &p, &teamRunning, runStartNanos] {
-            return std::vector<rt::statusd::RankStatus>{rankStatus(
-                ctx, net, p, runStartNanos, teamRunning.load())};
-          });
+      const int port = p.statusPort + p.rank;
+      if (port > 65535) {
+        throw std::invalid_argument(
+            "statusd: rank " + std::to_string(p.rank) + " would serve port " +
+            std::to_string(port) + " (--status-port " +
+            std::to_string(p.statusPort) + " + rank), past 65535");
+      }
+      statusServer.start(static_cast<std::uint16_t>(port),
+                         [&ctx, &p, runStartNanos] {
+                           return std::vector<rt::statusd::RankStatus>{
+                               rankStatus(ctx, p, runStartNanos)};
+                         });
     }
 
     // First peer declared dead, if any. The transport reports a death at
@@ -586,7 +607,6 @@ struct Engine {
     } unhook{net};
 
     ctx.locality().start();
-    ctx.startHealth();
     if (p.rank == 0) {
       // Root task: count it before the leader starts polling, so the
       // detector never observes the initial 0 == 0 state.
@@ -595,15 +615,7 @@ struct Engine {
       ctx.pool().push(Task{root, 0}, 0);
       ctx.term().startLeader();
     }
-
-    rt::trace::Sampler sampler;
-    if (p.sampleIntervalMs > 0) {
-      sampler.start(std::chrono::milliseconds(p.sampleIntervalMs),
-                    [&ctx, &net] {
-                      return std::vector<rt::trace::Sample>{
-                          sampleLocality(ctx, net)};
-                    });
-    }
+    ctx.tick().start([&ctx] { return ctx.sample(); });
 
     const std::uint64_t teamStartNanos = rt::prof::nowNanos();
     {
@@ -615,16 +627,8 @@ struct Engine {
     // lifetime, not the whole run (mesh setup/teardown is not worker time).
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
-    teamRunning.store(false);
-    ctx.stopHealth();  // firing counts final before the gather reads them
-    sampler.stop();  // takes the final sample; workers have quiesced
+    ctx.tick().stop();  // health firing counts are final from here
     ctx.term().stop();
-    if (p.sampleIntervalMs > 0) {
-      // One CSV per rank: non-zero ranks suffix theirs with the rank.
-      std::string csv = p.effectiveSampleCsv();
-      if (p.rank != 0) csv += ".rank" + std::to_string(p.rank);
-      rt::trace::Sampler::writeCsv(csv, sampler.takeRows());
-    }
 
     // A dead peer aborts the whole job: the failure callback already
     // drained the workers; fail naming the dead rank instead of exchanging
@@ -683,7 +687,7 @@ struct Engine {
       // Every reply is in: nothing on this rank sends any more once the
       // manager stops, so the snapshot below is final.
       ctx.locality().stop();
-      gathered.push_back(makeGatherMsg(ctx, net, teamWallNanos));
+      gathered.push_back(finishRank(ctx, p, teamWallNanos));
       out = mergeGather(p, gathered, timer.elapsedSeconds());
       if (!p.traceFile.empty()) {
         // Every kTraceData preceded its rank's kGatherReply on the same
@@ -711,7 +715,7 @@ struct Engine {
       // arrives is left undelivered, as at any rank's teardown. With the
       // manager stopped nothing on this rank sends behind the snapshot.
       ctx.locality().stop();
-      auto g = makeGatherMsg(ctx, net, teamWallNanos);
+      auto g = finishRank(ctx, p, teamWallNanos);
       if (!p.traceFile.empty()) {
         // Ship this rank's trace ahead of the gather reply on the same
         // link; rank 0's manager processes them in order.
@@ -791,87 +795,56 @@ struct Engine {
     Ops::mergeWorkerAcc(ctx.reg(), ws.acc);
   }
 
-  // One telemetry row for this rank.
-  static rt::trace::Sample sampleLocality(Ctx& ctx, const rt::Transport& net) {
-    rt::trace::Sample s;
-    s.tNanos = rt::trace::nowNanos();
-    s.rank = ctx.id();
-    s.poolDepth = ctx.pool().size();
-    s.netQueued = net.queuedMessagesNow();
-    s.netQueuedMaxLink = net.maxLinkQueueNow();
-    s.metrics = ctx.reg().metrics.snapshot();
-    // The same accumulators /metrics reads: one source of truth for the
-    // per-worker busy/idle columns the CSV grows.
-    s.profile = ctx.profile().snapshot(ctx.id(), 0);
-    return s;
-  }
-
-  // One status-endpoint row for this rank, frozen at scrape time.
-  static rt::statusd::RankStatus rankStatus(Ctx& ctx,
-                                            const rt::Transport& net,
-                                            const Params& params,
-                                            std::uint64_t startNanos,
-                                            bool searchActive) {
+  // One status-endpoint row for this rank: a live Sample per scrape until
+  // the rank publishes its final one, then that Sample - the one its gather
+  // shipped - for good.
+  static rt::statusd::RankStatus rankStatus(Ctx& ctx, const Params& params,
+                                            std::uint64_t startNanos) {
     rt::statusd::RankStatus s;
-    s.rank = ctx.id();
+    if (const auto* fin = ctx.tick().finalSample()) {
+      s.sample = *fin;
+    } else {
+      // Counters still move until the final Sample (workers fold their node
+      // counts in on exit), so the search reads as active until then.
+      s.sample = ctx.sample();
+      s.sample.searchActive = true;
+    }
     s.world = params.nLocalities;
-    const std::uint64_t now = rt::prof::nowNanos();
-    s.uptimeSeconds = static_cast<double>(now - startNanos) / 1e9;
-    s.searchActive = searchActive;
-    s.poolDepth = ctx.pool().size();
-    s.netQueued = net.queuedMessagesNow();
-    const std::int64_t bound =
-        ctx.reg().localBound.load(std::memory_order_relaxed);
-    s.hasObjective = bound != kObjMin;
-    s.objective = bound;
-    s.metrics = ctx.reg().metrics.snapshot();
-    s.metrics.poolLockContentions = ctx.pool().lockContentions();
-    s.metrics.healthWarnings = ctx.health().totalFirings();
-    fillNetMetrics(s.metrics, net);
-    s.profile = ctx.profile().snapshot(ctx.id(), now - startNanos);
-    const auto& wd = ctx.health();
+    s.uptimeSeconds =
+        static_cast<double>(rt::prof::nowNanos() - startNanos) / 1e9;
     for (int r = 0; r < rt::health::kNumRules; ++r) {
       const auto rule = static_cast<rt::health::Rule>(r);
       rt::statusd::RankStatus::RuleStatus rs;
       rs.name = rt::health::ruleName(rule);
-      rs.enabled = wd.running() &&
+      rs.enabled = params.healthIntervalMs > 0 &&
                    (rule != rt::health::Rule::kStalledIncumbent ||
                     params.stallWarnMs > 0);
-      rs.firing = wd.firing(rule);
-      rs.firings = wd.firings(rule);
+      rs.firing = ctx.health().firing(rule);
+      rs.firings = ctx.health().firings(rule);
       s.rules.push_back(std::move(rs));
     }
     return s;
   }
 
-  // Copy a transport's counters into the network fields of a snapshot.
-  static void fillNetMetrics(rt::MetricsSnapshot& m,
-                             const rt::Transport& net) {
-    m.networkMessages = net.messagesSent();
-    m.networkBytes = net.bytesSent();
-    m.networkFrames = net.framesSent();
-    m.networkBatched = net.batchedMessages();
-    m.networkImmediate = net.immediateMessages();
-    m.networkSpills = net.spilledMessages();
-    m.networkHeartbeats = net.heartbeatsSent();
-    m.linkQueueHighWater = net.queueHighWater();
-    m.netLatencyHist = net.latencyHistogram();
-  }
-
-  // Package this rank's final results for rank 0's merge. Call once nothing
-  // on this rank sends any more: the flush frames out whatever is still
-  // buffered, so the rank's own transport counters, folded into the
-  // metrics snapshot, split exactly (batched + immediate == messages).
-  static GatherMsg makeGatherMsg(Ctx& ctx, rt::Transport& net,
-                                 std::uint64_t teamWallNanos) {
-    net.flushAll();
+  // Take this rank's final Sample and package it, with the rank's results,
+  // for rank 0's merge. Call once nothing on this rank sends any more: the
+  // flush frames out whatever is still buffered, so the transport counters
+  // split exactly (batched + immediate == messages). The same Sample ends
+  // the CSV and is what the status endpoint serves from now on.
+  static GatherMsg finishRank(Ctx& ctx, const Params& p,
+                              std::uint64_t teamWallNanos) {
+    ctx.locality().network().flushAll();
+    const auto& fin = ctx.tick().finish(ctx.sample(teamWallNanos));
+    if (p.sampleIntervalMs > 0) {
+      // One CSV per rank: non-zero ranks suffix theirs with the rank.
+      std::string csv = p.effectiveSampleCsv();
+      if (p.rank != 0) csv += ".rank" + std::to_string(p.rank);
+      rt::telemetry::writeCsv(csv, ctx.tick().rows());
+    }
     auto& reg = ctx.reg();
     GatherMsg g;
-    g.metrics = reg.metrics.snapshot();
-    g.metrics.poolLockContentions = ctx.pool().lockContentions();
-    g.metrics.healthWarnings = ctx.health().totalFirings();
-    g.profile = ctx.profile().snapshot(ctx.id(), teamWallNanos);
-    fillNetMetrics(g.metrics, net);
+    g.metrics = fin.metrics;
+    g.profile = fin.profile;
     g.truncated = reg.truncated.load() ? 1 : 0;
     // Workers have joined, but the guarded fields are read under their
     // locks anyway: the discipline is uniform, and the locks are free.

@@ -1,37 +1,32 @@
 #pragma once
 
-// Search-health watchdog: a background thread that evaluates windowed
-// health rules over live engine state and emits rate-limited structured
-// warnings (docs/ARCHITECTURE.md "Observability": health rules).
+// Search-health rules: windowed checks over consecutive telemetry Samples
+// of one rank, with rate-limited structured warnings (docs/ARCHITECTURE.md
+// "Observability": health rules).
 //
-// Rules are *windowed*: each tick (the sampler cadence, --health-interval-ms)
-// the watchdog diffs the previous tick's counters against the current ones,
-// so a worker that is busy inside one long task shows zero new idle time and
-// is never called starved, and a steal burst that ended minutes ago cannot
-// keep a storm warning alive.
+// Rules are *windowed*: the rank's telemetry tick (--health-interval-ms)
+// hands evaluate() each new Sample with the previous one, and every rule
+// reads only the difference, so a worker that is busy inside one long task
+// shows zero new idle time and is never called starved, and a steal burst
+// that ended minutes ago cannot keep a storm warning alive. Time is the
+// Samples' own stamps - no clock reads, threads or callbacks - so a test
+// can drive the rules with a hand-built Sample sequence.
 //
 // Firing discipline. A rule fires on the *transition* from healthy to
 // unhealthy (counted in firings and MetricsSnapshot::healthWarnings), stays
 // "firing" while the condition persists, and clears silently. Warnings are
 // additionally rate-limited per rule by a cooldown, so a flapping rule
 // cannot spam stderr: a persistently starved run emits exactly one warning.
-//
-// The watchdog only ever reads through the Probe callbacks - relaxed
-// atomic loads and lock-free snapshots - so it can observe a wedged search
-// without being wedged by it.
 
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "runtime/profile.hpp"
-#include "util/thread_annotations.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace yewpar::rt::health {
 
@@ -46,8 +41,6 @@ inline constexpr int kNumRules = 4;
 const char* ruleName(Rule r);
 
 struct Config {
-  // Evaluation cadence; <= 0 disables the watchdog entirely.
-  std::chrono::milliseconds interval{250};
   // kStarvation: idle fraction a worker must exceed...
   double starvationIdleFrac = 0.9;
   // ...for this many consecutive windows.
@@ -63,37 +56,18 @@ struct Config {
   std::chrono::milliseconds warnCooldown{5000};
 };
 
-// Lock-free views into live engine state. All callbacks must stay valid
-// until stop() returns and must not block (they run on the watchdog
-// thread every tick).
-struct Probe {
-  std::function<prof::ProfileSnapshot()> profile;
-  std::function<std::uint64_t()> failedSteals;
-  // Current incumbent objective; `objectiveNone` means no incumbent yet.
-  std::function<std::int64_t()> objective;
-  std::int64_t objectiveNone = 0;
-  // Steady-clock nanos of the last termination-probe activity; 0 = none.
-  std::function<std::uint64_t()> lastProbeNanos;
-  // False once the search has terminated: all rules hold their fire.
-  std::function<bool()> searchActive;
-};
-
-class Watchdog {
+// One rank's rule state. evaluate() runs on one thread (the tick); the
+// firing state is relaxed atomics, readable live from any thread (the
+// status endpoint and the Sample builder).
+class Rules {
  public:
-  Watchdog() = default;
-  ~Watchdog() { stop(); }
+  explicit Rules(const Config& cfg = {}, int rank = 0)
+      : cfg_(cfg), rank_(rank) {}
 
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
+  // Evaluate every rule over the window from `prev` to `cur`, two
+  // consecutive Samples of this rank. A window of zero length is ignored.
+  void evaluate(const telemetry::Sample& prev, const telemetry::Sample& cur);
 
-  // Idempotent; a config with interval <= 0 makes start() a no-op.
-  void start(const Config& cfg, Probe probe, int rank) EXCLUDES(mtx_);
-  void stop() EXCLUDES(mtx_);
-
-  // Readable from any thread (the status endpoint reports it live).
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
-  // Live rule state, readable from any thread (the status endpoint).
   bool firing(Rule r) const {
     return firing_[static_cast<std::size_t>(r)].load(
         std::memory_order_relaxed);
@@ -102,8 +76,8 @@ class Watchdog {
     return firings_[static_cast<std::size_t>(r)].load(
         std::memory_order_relaxed);
   }
-  // Total healthy->unhealthy transitions across rules; folded into
-  // MetricsSnapshot::healthWarnings at gather time.
+  // Total healthy->unhealthy transitions across rules; every Sample carries
+  // it as MetricsSnapshot::healthWarnings.
   std::uint64_t totalFirings() const {
     std::uint64_t t = 0;
     for (const auto& f : firings_) t += f.load(std::memory_order_relaxed);
@@ -115,31 +89,18 @@ class Watchdog {
   }
 
  private:
-  void loop() EXCLUDES(mtx_);
-  void evaluate(std::uint64_t nowNanos);
   void setFiring(Rule r, bool nowFiring, std::uint64_t nowNanos,
                  const std::string& detail);
 
   Config cfg_;
-  Probe probe_;
-  int rank_ = 0;
-
-  Mutex mtx_;
-  std::condition_variable cv_;
-  bool stopRequested_ GUARDED_BY(mtx_) = false;
-  std::thread thread_;   // touched only by the controlling thread
-  std::atomic<bool> running_{false};  // written by the controlling thread
+  int rank_;
 
   std::array<std::atomic<bool>, kNumRules> firing_{};
   std::array<std::atomic<std::uint64_t>, kNumRules> firings_{};
   std::atomic<std::uint64_t> warningsEmitted_{0};
 
-  // Windowed state, touched only by the watchdog thread.
-  std::uint64_t lastTickNanos_ = 0;
-  std::uint64_t startNanos_ = 0;
-  prof::ProfileSnapshot prevProfile_;
-  std::uint64_t prevFailedSteals_ = 0;
-  std::int64_t lastObjective_ = 0;
+  // Windowed state, touched only by the evaluating thread.
+  std::optional<std::uint64_t> startNanos_;  // first window's start
   std::uint64_t lastImprovementNanos_ = 0;
   std::vector<int> starvedWindows_;  // consecutive count per worker
   std::array<std::uint64_t, kNumRules> lastWarnNanos_{};

@@ -58,9 +58,9 @@ struct MetricsSnapshot {
   // priority pools count them (rt::Workpool::lockContentions); the
   // workpool-ablation bench compares global vs sharded pool pressure.
   std::uint64_t poolLockContentions = 0;
-  // Health-watchdog rule firings (healthy->unhealthy transitions, all rules
-  // combined; see runtime/health.hpp). Folded in at gather time from the
-  // locality's rt::health::Watchdog; 0 when the watchdog is off.
+  // Health-rule firings (healthy->unhealthy transitions, all rules
+  // combined; see runtime/health.hpp), read from the rank's
+  // rt::health::Rules into every telemetry Sample; 0 when the rules are off.
   std::uint64_t healthWarnings = 0;
   // Network totals, filled at gather time from each rank's own transport
   // (the traffic that rank sent) and summed over ranks, so every link is

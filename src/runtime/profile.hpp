@@ -14,9 +14,8 @@
 // the one exception: its handler spans are bracketed by ScopedPhase because
 // recvWait time in between is not manager work.
 //
-// Accumulators are relaxed per-worker atomics so the sampler, the health
-// watchdog and the status endpoint can snapshot a live run without stopping
-// it; like rt::Metrics, a mid-run snapshot is per-counter consistent only.
+// Accumulators are relaxed per-worker atomics so the telemetry tick and the
+// status endpoint can snapshot a live run without stopping it; like rt::Metrics, a mid-run snapshot is per-counter consistent only.
 //
 // Overhead contract. Arming follows the trace session discipline: with no
 // run armed, PhaseClock::lap() is a branch and one relaxed load -- no clock

@@ -113,46 +113,48 @@ std::string renderMetrics(const std::vector<RankStatus>& ranks) {
       "# TYPE yewpar_health_rule_firing gauge\n"
       "# TYPE yewpar_health_rule_firings_total counter\n";
   for (const auto& r : ranks) {
-    const auto& m = r.metrics;
-    appendf(out, "yewpar_uptime_seconds{rank=\"%d\"} %.3f\n", r.rank,
+    const auto& m = r.sample.metrics;
+    const auto& profile = r.sample.profile;
+    const int rank = r.sample.rank;
+    appendf(out, "yewpar_uptime_seconds{rank=\"%d\"} %.3f\n", rank,
             r.uptimeSeconds);
-    appendf(out, "yewpar_search_active{rank=\"%d\"} %d\n", r.rank,
-            r.searchActive ? 1 : 0);
-    counter(out, "nodes_processed_total", r.rank, m.nodesProcessed);
-    counter(out, "tasks_spawned_total", r.rank, m.tasksSpawned);
-    counter(out, "prunes_total", r.rank, m.prunes);
-    counter(out, "backtracks_total", r.rank, m.backtracks);
+    appendf(out, "yewpar_search_active{rank=\"%d\"} %d\n", rank,
+            r.sample.searchActive ? 1 : 0);
+    counter(out, "nodes_processed_total", rank, m.nodesProcessed);
+    counter(out, "tasks_spawned_total", rank, m.tasksSpawned);
+    counter(out, "prunes_total", rank, m.prunes);
+    counter(out, "backtracks_total", rank, m.backtracks);
     appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"local\"} %" PRIu64
                  "\n",
-            r.rank, m.localSteals);
+            rank, m.localSteals);
     appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"remote\"} %" PRIu64
                  "\n",
-            r.rank, m.remoteSteals);
+            rank, m.remoteSteals);
     appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"failed\"} %" PRIu64
                  "\n",
-            r.rank, m.failedSteals);
-    counter(out, "steal_replies_total", r.rank, m.stealReplies);
-    counter(out, "bound_broadcasts_total", r.rank, m.boundBroadcasts);
-    counter(out, "bound_updates_applied_total", r.rank,
+            rank, m.failedSteals);
+    counter(out, "steal_replies_total", rank, m.stealReplies);
+    counter(out, "bound_broadcasts_total", rank, m.boundBroadcasts);
+    counter(out, "bound_updates_applied_total", rank,
             m.boundUpdatesApplied);
-    counter(out, "pool_lock_contentions_total", r.rank,
+    counter(out, "pool_lock_contentions_total", rank,
             m.poolLockContentions);
-    counter(out, "network_messages_total", r.rank, m.networkMessages);
-    counter(out, "network_bytes_total", r.rank, m.networkBytes);
-    counter(out, "health_warnings_total", r.rank, m.healthWarnings);
-    counter(out, "pool_depth", r.rank, r.poolDepth);
-    counter(out, "net_queue_depth", r.rank, r.netQueued);
-    if (r.hasObjective) {
+    counter(out, "network_messages_total", rank, m.networkMessages);
+    counter(out, "network_bytes_total", rank, m.networkBytes);
+    counter(out, "health_warnings_total", rank, m.healthWarnings);
+    counter(out, "pool_depth", rank, r.sample.poolDepth);
+    counter(out, "net_queue_depth", rank, r.sample.netQueued);
+    if (r.sample.objective) {
       appendf(out, "yewpar_incumbent_objective{rank=\"%d\"} %" PRId64 "\n",
-              r.rank, r.objective);
+              rank, *r.sample.objective);
     }
-    for (std::size_t w = 0; w < r.profile.workers.size(); ++w) {
+    for (std::size_t w = 0; w < profile.workers.size(); ++w) {
       for (int p = 0; p < prof::kNumPhases - 1; ++p) {  // workers: no kManager
         appendf(out,
                 "yewpar_worker_phase_seconds_total{rank=\"%d\",worker=\"%zu\""
                 ",phase=\"%s\"} %.6f\n",
-                r.rank, w, prof::phaseName(static_cast<prof::Phase>(p)),
-                static_cast<double>(r.profile.workers[w].nanos
+                rank, w, prof::phaseName(static_cast<prof::Phase>(p)),
+                static_cast<double>(profile.workers[w].nanos
                                         [static_cast<std::size_t>(p)]) /
                     1e9);
       }
@@ -160,22 +162,22 @@ std::string renderMetrics(const std::vector<RankStatus>& ranks) {
     appendf(out,
             "yewpar_worker_phase_seconds_total{rank=\"%d\",worker=\"mgr\""
             ",phase=\"manager\"} %.6f\n",
-            r.rank,
-            static_cast<double>(r.profile.manager.get(
+            rank,
+            static_cast<double>(profile.manager.get(
                 prof::Phase::kManager)) /
                 1e9);
-    appendf(out, "yewpar_worker_imbalance_cv{rank=\"%d\"} %.6f\n", r.rank,
-            r.profile.utilizationCV());
-    appendf(out, "yewpar_worker_imbalance_gini{rank=\"%d\"} %.6f\n", r.rank,
-            r.profile.giniIndex());
+    appendf(out, "yewpar_worker_imbalance_cv{rank=\"%d\"} %.6f\n", rank,
+            profile.utilizationCV());
+    appendf(out, "yewpar_worker_imbalance_gini{rank=\"%d\"} %.6f\n", rank,
+            profile.giniIndex());
     for (const auto& rule : r.rules) {
       appendf(out,
               "yewpar_health_rule_firing{rank=\"%d\",rule=\"%s\"} %d\n",
-              r.rank, rule.name.c_str(), rule.firing ? 1 : 0);
+              rank, rule.name.c_str(), rule.firing ? 1 : 0);
       appendf(out,
               "yewpar_health_rule_firings_total{rank=\"%d\",rule=\"%s\"} "
               "%" PRIu64 "\n",
-              r.rank, rule.name.c_str(), rule.firings);
+              rank, rule.name.c_str(), rule.firings);
     }
   }
   return out;
@@ -187,24 +189,25 @@ std::string renderStatusJson(const std::vector<RankStatus>& ranks) {
           ranks.empty() ? 0 : ranks.front().world);
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     const auto& r = ranks[i];
+    const auto& smp = r.sample;
     if (i != 0) out += ", ";
     out += "{";
-    appendf(out, "\"rank\": %d, ", r.rank);
+    appendf(out, "\"rank\": %d, ", smp.rank);
     appendf(out, "\"uptime_seconds\": %.3f, ", r.uptimeSeconds);
     appendf(out, "\"search_active\": %s, ",
-            r.searchActive ? "true" : "false");
-    if (r.hasObjective) {
-      appendf(out, "\"incumbent_objective\": %" PRId64 ", ", r.objective);
+            smp.searchActive ? "true" : "false");
+    if (smp.objective) {
+      appendf(out, "\"incumbent_objective\": %" PRId64 ", ", *smp.objective);
     } else {
       out += "\"incumbent_objective\": null, ";
     }
     appendf(out, "\"nodes_processed\": %" PRIu64 ", ",
-            r.metrics.nodesProcessed);
-    appendf(out, "\"pool_depth\": %" PRIu64 ", ", r.poolDepth);
-    appendf(out, "\"net_queued\": %" PRIu64 ", ", r.netQueued);
-    appendf(out, "\"workers\": %zu, ", r.profile.workers.size());
-    appendf(out, "\"imbalance_cv\": %.6f, ", r.profile.utilizationCV());
-    appendf(out, "\"imbalance_gini\": %.6f, ", r.profile.giniIndex());
+            smp.metrics.nodesProcessed);
+    appendf(out, "\"pool_depth\": %" PRIu64 ", ", smp.poolDepth);
+    appendf(out, "\"net_queued\": %" PRIu64 ", ", smp.netQueued);
+    appendf(out, "\"workers\": %zu, ", smp.profile.workers.size());
+    appendf(out, "\"imbalance_cv\": %.6f, ", smp.profile.utilizationCV());
+    appendf(out, "\"imbalance_gini\": %.6f, ", smp.profile.giniIndex());
     out += "\"health\": [";
     for (std::size_t j = 0; j < r.rules.size(); ++j) {
       const auto& rule = r.rules[j];

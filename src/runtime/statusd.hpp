@@ -15,10 +15,13 @@
 //   GET /healthz      "ok" liveness probe.
 //
 // The server renders from RankStatus values pulled through a Source
-// callback on each request, so a scrape always sees the live counters; the
-// callback must stay valid until stop() returns. Each engine rank runs its
-// own server on --status-port + rank, simulated or TCP (mirroring
-// launch_local.sh's base-port + rank convention).
+// callback on each request; the callback must stay valid until stop()
+// returns. Each carries one telemetry Sample of the rank: built live per
+// scrape while the search runs, then the rank's final Sample - the one its
+// gather shipped - with search_active false, so a post-search scrape equals
+// the final report on every counter. Each engine rank runs its own server
+// on --status-port + rank, simulated or TCP (mirroring launch_local.sh's
+// base-port + rank convention).
 
 #include <atomic>
 #include <cstdint>
@@ -27,25 +30,17 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/metrics.hpp"
-#include "runtime/profile.hpp"
+#include "runtime/telemetry.hpp"
 
 namespace yewpar::rt::statusd {
 
 // Everything the endpoint reports about one rank, frozen at request time.
 struct RankStatus {
-  int rank = 0;
+  // The rank's counters. sample.searchActive is what the endpoint reports
+  // as search_active: true until the rank serves its final Sample.
+  telemetry::Sample sample;
   int world = 1;
   double uptimeSeconds = 0.0;
-  // True until this rank's workers have exited; from then on the counters
-  // below are final.
-  bool searchActive = false;
-  std::uint64_t poolDepth = 0;
-  std::uint64_t netQueued = 0;
-  bool hasObjective = false;
-  std::int64_t objective = 0;
-  MetricsSnapshot metrics;
-  prof::ProfileSnapshot profile;
 
   struct RuleStatus {
     std::string name;

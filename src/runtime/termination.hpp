@@ -82,8 +82,8 @@ class TerminationDetector {
 
   // Steady-clock nanos of the last termination-probe activity seen by this
   // locality (a completed leader poll round, or an answered/final probe
-  // message on a non-leader). 0 until the first probe. The health
-  // watchdog's probe-liveness rule reads this.
+  // message on a non-leader). 0 until the first probe. The health rules'
+  // probe-liveness check reads it through the telemetry Sample.
   std::uint64_t lastProbeNanos() const {
     return lastProbeNanos_.load(std::memory_order_relaxed);
   }

@@ -6,6 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "util/thread_annotations.hpp"
+
 namespace yewpar::rt::trace {
 
 namespace detail {
@@ -457,121 +459,6 @@ void writeChromeJson(const std::string& path,
                dropped);
   if (std::ferror(f) != 0) {
     throw std::runtime_error("trace: write to '" + path + "' failed");
-  }
-}
-
-// ---- Sampler --------------------------------------------------------------
-
-void Sampler::start(std::chrono::milliseconds interval, Fn fn) {
-  if (running_) return;
-  {
-    LockGuard lock(mtx_);
-    stopRequested_ = false;
-    rows_.clear();
-  }
-  fn_ = std::move(fn);
-  running_ = true;
-  thread_ = std::thread([this, interval] { loop(interval); });
-}
-
-void Sampler::loop(std::chrono::milliseconds interval) {
-  nameThread("sampler");
-  bool last = false;
-  while (!last) {
-    {
-      // Explicit predicate loop (not a wait lambda) so the thread-safety
-      // analysis sees stopRequested_ read with mtx_ held.
-      UniqueLock lock(mtx_);
-      const auto deadline = std::chrono::steady_clock::now() + interval;
-      while (!stopRequested_) {
-        if (cv_.wait_until(lock.native(), deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      last = stopRequested_;
-    }
-    // Sample outside the lock (the callback reads live engine state); the
-    // iteration entered because of stop() records the final state.
-    auto rows = fn_();
-    LockGuard lock(mtx_);
-    for (auto& r : rows) rows_.push_back(std::move(r));
-  }
-}
-
-void Sampler::stop() {
-  if (!running_) return;
-  {
-    LockGuard lock(mtx_);
-    stopRequested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  running_ = false;
-  fn_ = nullptr;
-}
-
-std::vector<Sample> Sampler::takeRows() {
-  LockGuard lock(mtx_);
-  std::vector<Sample> out;
-  out.swap(rows_);
-  return out;
-}
-
-void Sampler::writeCsv(const std::string& path,
-                       const std::vector<Sample>& rows) {
-  FilePtr fp;
-  fp.f = std::fopen(path.c_str(), "w");
-  if (fp.f == nullptr) {
-    throw std::runtime_error("telemetry: cannot open '" + path +
-                             "' for writing");
-  }
-  std::FILE* f = fp.f;
-  // The fixed columns, then one cumulative busy/idle nanosecond pair per
-  // worker (busy = working + popping + stealing; see runtime/profile.hpp).
-  // The worker columns are sized by the widest row so a CSV mixing
-  // localities with different team sizes stays rectangular.
-  std::size_t nWorkers = 0;
-  for (const auto& s : rows) {
-    if (s.profile.workers.size() > nWorkers) {
-      nWorkers = s.profile.workers.size();
-    }
-  }
-  std::fputs(
-      "t_ms,rank,pool_depth,net_queued,net_queued_max_link,nodes,"
-      "tasks_spawned,prunes,backtracks,local_steals,remote_steals,"
-      "failed_steals,steal_replies,bound_broadcasts,bound_applied",
-      f);
-  for (std::size_t w = 0; w < nWorkers; ++w) {
-    std::fprintf(f, ",w%zu_busy_ns,w%zu_idle_ns", w, w);
-  }
-  std::fputc('\n', f);
-  const std::uint64_t t0 = rows.empty() ? 0 : rows.front().tNanos;
-  for (const auto& s : rows) {
-    std::fprintf(
-        f,
-        "%.3f,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64,
-        static_cast<double>(s.tNanos - t0) / 1e6, s.rank, s.poolDepth,
-        s.netQueued, s.netQueuedMaxLink, s.metrics.nodesProcessed,
-        s.metrics.tasksSpawned, s.metrics.prunes, s.metrics.backtracks,
-        s.metrics.localSteals, s.metrics.remoteSteals,
-        s.metrics.failedSteals, s.metrics.stealReplies,
-        s.metrics.boundBroadcasts, s.metrics.boundUpdatesApplied);
-    for (std::size_t w = 0; w < nWorkers; ++w) {
-      if (w < s.profile.workers.size()) {
-        const auto& ph = s.profile.workers[w];
-        std::fprintf(f, ",%" PRIu64 ",%" PRIu64, ph.busy(),
-                     ph.get(prof::Phase::kIdle));
-      } else {
-        std::fputs(",0,0", f);
-      }
-    }
-    std::fputc('\n', f);
-  }
-  if (std::ferror(f) != 0) {
-    throw std::runtime_error("telemetry: write to '" + path + "' failed");
   }
 }
 

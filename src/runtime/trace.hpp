@@ -1,7 +1,8 @@
 #pragma once
 
-// Low-overhead runtime event tracing and periodic telemetry sampling
-// (docs/ARCHITECTURE.md "Observability").
+// Low-overhead runtime event tracing (docs/ARCHITECTURE.md "Observability").
+// Periodic telemetry - counters rather than events - is
+// runtime/telemetry.hpp's tick.
 //
 // Recording discipline. Every event is one fixed-size 32-byte binary record
 // (steady-clock timestamp, event kind, thread slot, rank, two u64 args)
@@ -28,17 +29,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "runtime/metrics.hpp"
-#include "runtime/profile.hpp"
 #include "util/archive.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace yewpar::rt::trace {
 
@@ -179,59 +174,6 @@ Session& session();
 // cannot be written.
 void writeChromeJson(const std::string& path,
                      const std::vector<Batch>& batches);
-
-// ---- periodic telemetry sampler -----------------------------------------
-
-// One sampled telemetry row (per rank per tick).
-struct Sample {
-  std::uint64_t tNanos = 0;
-  int rank = 0;
-  std::uint64_t poolDepth = 0;
-  std::uint64_t netQueued = 0;         // messages this rank has in flight
-  std::uint64_t netQueuedMaxLink = 0;  // deepest single link/peer queue
-  MetricsSnapshot metrics;
-  // Per-worker phase accounting at this tick - the same accumulators the
-  // /metrics status endpoint reads, so the CSV's per-worker busy/idle
-  // columns and a concurrent scrape can never disagree.
-  prof::ProfileSnapshot profile;
-};
-
-// A background thread invoking a snapshot callback every `interval` and
-// keeping the rows in memory; the engine dumps them as CSV at gather time.
-// start()/stop() are idempotent, and a stopped sampler can be restarted.
-// The callback must stay valid until stop() returns (it reads live engine
-// state); the final sample is taken on the sampler thread during stop(), so
-// every run yields at least one row.
-class Sampler {
- public:
-  using Fn = std::function<std::vector<Sample>()>;
-
-  Sampler() = default;
-  ~Sampler() { stop(); }
-
-  Sampler(const Sampler&) = delete;
-  Sampler& operator=(const Sampler&) = delete;
-
-  void start(std::chrono::milliseconds interval, Fn fn);
-  void stop();
-
-  // Move the collected rows out; call after stop().
-  std::vector<Sample> takeRows();
-
-  static void writeCsv(const std::string& path,
-                       const std::vector<Sample>& rows);
-
- private:
-  void loop(std::chrono::milliseconds interval);
-
-  Mutex mtx_;
-  std::condition_variable cv_;
-  bool stopRequested_ GUARDED_BY(mtx_) = false;
-  std::vector<Sample> rows_ GUARDED_BY(mtx_);
-  Fn fn_;              // set before the thread spawns, cleared after join
-  std::thread thread_; // touched only by the controlling thread
-  bool running_ = false;
-};
 
 // RAII wrapper arming the global session for one engine run; no-op when the
 // run was started without --trace.

@@ -91,7 +91,7 @@ class InProcFabric : public Transport {
   std::uint64_t bytesSent() const override { return 0; }
   std::uint64_t framesSent() const override { return 0; }
 
-  // Instantaneous depths for the sampler and for the shaper's queue cap:
+  // Instantaneous depths for telemetry and for the shaper's queue cap:
   // messages whose delay has not yet matured (plus undelivered matured
   // ones) count as in flight on their link.
   std::uint64_t queuedMessagesNow() const override {

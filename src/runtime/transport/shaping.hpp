@@ -186,7 +186,7 @@ class ShapedTransport : public Transport {
   // Highest in-flight depth observed on any single capped link.
   std::size_t queueHighWater() const override;
 
-  // Instantaneous depths for the telemetry sampler: messages buffered or
+  // Instantaneous depths for the telemetry Sample: messages buffered or
   // spilled here plus in flight in the inner transport.
   std::uint64_t queuedMessagesNow() const override;
   std::uint64_t maxLinkQueueNow() const override;

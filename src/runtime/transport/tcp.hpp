@@ -140,7 +140,7 @@ class TcpTransport : public Transport {
   // of the simulated fabric's in-flight high-water mark.
   std::size_t queueHighWater() const override;
 
-  // Instantaneous depths for the telemetry sampler: outbound queues plus
+  // Instantaneous depths for the telemetry Sample: outbound queues plus
   // the local inbox, and the deepest single peer queue.
   std::uint64_t queuedMessagesNow() const override;
   std::uint64_t maxLinkQueueNow() const override;

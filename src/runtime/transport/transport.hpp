@@ -126,7 +126,7 @@ class Transport {
   virtual std::uint64_t heartbeatsSent() const { return 0; }
 
   // ---- observability ----------------------------------------------------
-  // Instantaneous queue depths for the telemetry sampler: messages queued
+  // Instantaneous queue depths for the telemetry Sample: messages queued
   // in total and on the deepest single link/peer this transport sends on.
   // Zero for backends that do not queue.
   virtual std::uint64_t queuedMessagesNow() const { return 0; }

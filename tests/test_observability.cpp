@@ -1,10 +1,11 @@
 // The live-observability layer (docs/ARCHITECTURE.md "Observability"):
 // per-worker phase accounting (lap attribution, concurrent writers + a live
 // snapshot reader - the CI TSan lane runs this suite), the imbalance-index
-// math, the search-health watchdog's windowed rules and warn rate limiting,
-// the embedded status endpoint's three routes against both a fake source and
-// a live 2-locality engine run, the sampler CSV's per-worker columns, and
-// the payload-layout handshake fence (`ctest -L net` selects it).
+// math, the health rules' windows and warn rate limiting over hand-built
+// Sample sequences, the embedded status endpoint's three routes against both
+// a fake source and a live 2-locality engine run, the telemetry CSV's
+// per-worker columns, and the payload-layout handshake fence (`ctest -L net`
+// selects it).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,7 +32,7 @@
 #include "runtime/health.hpp"
 #include "runtime/profile.hpp"
 #include "runtime/statusd.hpp"
-#include "runtime/trace.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/transport/tcp.hpp"
 #include "runtime/transport/wire.hpp"
 
@@ -120,7 +122,7 @@ TEST(PhaseProfile, ArmingMidRunRebasesInsteadOfBackcharging) {
 
 TEST(PhaseProfile, ConcurrentWritersAndALiveSnapshotReader) {
   // Four workers lapping their own slots while the main thread snapshots
-  // mid-flight, exactly as the sampler/watchdog/status endpoint do: TSan
+  // mid-flight, exactly as the telemetry tick and status endpoint do: TSan
   // (CI lane) checks the relaxed-atomic discipline, the arithmetic checks
   // accumulation is monotone and lands in the right slots.
   prof::ArmScope armed;
@@ -218,101 +220,192 @@ TEST(Imbalance, SnapshotSerializationRoundTrips) {
   EXPECT_EQ(back.manager.get(prof::Phase::kManager), 99u);
 }
 
-// ---- health watchdog ------------------------------------------------------
+// ---- health rules ---------------------------------------------------------
 
 namespace {
 
-// A probe describing a permanently starved 1-worker search: its idle time
-// IS the wall clock, every other signal is healthy.
-health::Probe starvedProbe(std::uint64_t t0, bool active = true) {
-  health::Probe probe;
-  probe.profile = [t0] {
-    prof::ProfileSnapshot s;
-    s.workers.resize(1);
-    s.workers[0].nanos[static_cast<std::size_t>(prof::Phase::kIdle)] =
-        prof::nowNanos() - t0;
-    return s;
-  };
-  probe.failedSteals = [] { return std::uint64_t{0}; };
-  probe.objective = [] { return std::int64_t{0}; };
-  probe.objectiveNone = 0;
-  probe.lastProbeNanos = [] { return prof::nowNanos(); };
-  probe.searchActive = [active] { return active; };
-  return probe;
+constexpr std::uint64_t kWindow = 10'000'000;  // 10ms between Samples
+
+// Hand-built Sample sequences with synthetic timestamps: the rules read
+// only the Samples they are given, so no clock, thread or sleep is needed.
+struct Seq {
+  telemetry::Sample cur;
+
+  // A running one-worker search, just probed, no incumbent yet.
+  Seq() {
+    cur.tNanos = 1'000'000'000;
+    cur.lastProbeNanos = cur.tNanos;
+    cur.profile.workers.resize(1);
+  }
+
+  // Advance one window: the worker spends it idle (or working), the
+  // termination detector probes, and `adjust` edits anything else about
+  // the next Sample before the rules see it.
+  void step(health::Rules& rules, bool idle,
+            const std::function<void(telemetry::Sample&)>& adjust = {}) {
+    const auto prev = cur;
+    cur.tNanos += kWindow;
+    const auto phase = idle ? prof::Phase::kIdle : prof::Phase::kWorking;
+    cur.profile.workers[0].nanos[static_cast<std::size_t>(phase)] += kWindow;
+    cur.lastProbeNanos = cur.tNanos;
+    if (adjust) adjust(cur);
+    rules.evaluate(prev, cur);
+  }
+};
+
+// A cooldown longer than any sequence here: a second warning from one rule
+// would be a firing bug.
+health::Config quietConfig() {
+  health::Config cfg;
+  cfg.warnCooldown = std::chrono::minutes(10);
+  return cfg;
 }
 
 }  // namespace
 
-TEST(Watchdog, ZeroIntervalIsDisabled) {
-  health::Watchdog wd;
-  health::Config cfg;
-  cfg.interval = 0ms;
-  wd.start(cfg, starvedProbe(prof::nowNanos()), 0);
-  EXPECT_FALSE(wd.running());
-  wd.stop();  // no-op
-}
-
-TEST(Watchdog, PersistentStarvationFiresExactlyOnce) {
-  health::Watchdog wd;
-  health::Config cfg;
-  cfg.interval = 5ms;
+TEST(HealthRules, StarvationFiresOnceAfterNWindowsAndDoesNotRefire) {
+  auto cfg = quietConfig();
   cfg.starvationWindows = 3;
-  cfg.warnCooldown = 10min;  // any repeat would be a firing bug, not a race
-  wd.start(cfg, starvedProbe(prof::nowNanos()), /*rank=*/0);
-  ASSERT_TRUE(wd.running());
-
-  // Wait for the transition (3 windows of 5ms, generously padded for a
-  // loaded host), then several more windows to prove it does not re-fire.
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (!wd.firing(health::Rule::kStarvation) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(wd.firing(health::Rule::kStarvation));
-  std::this_thread::sleep_for(50ms);
-
-  EXPECT_EQ(wd.firings(health::Rule::kStarvation), 1u);
-  EXPECT_EQ(wd.warningsEmitted(), 1u);
-  EXPECT_EQ(wd.totalFirings(), 1u);
-  EXPECT_FALSE(wd.firing(health::Rule::kStealStorm));
-  EXPECT_FALSE(wd.firing(health::Rule::kStalledIncumbent));
-  EXPECT_FALSE(wd.firing(health::Rule::kProbeLiveness));
-  wd.stop();
-  EXPECT_FALSE(wd.running());
+  health::Rules rules(cfg);
+  Seq seq;
+  seq.step(rules, /*idle=*/true);
+  seq.step(rules, true);
+  EXPECT_FALSE(rules.firing(health::Rule::kStarvation)) << "2 of 3 windows";
+  seq.step(rules, true);
+  EXPECT_TRUE(rules.firing(health::Rule::kStarvation));
+  for (int i = 0; i < 20; ++i) seq.step(rules, true);
+  EXPECT_TRUE(rules.firing(health::Rule::kStarvation));
+  EXPECT_EQ(rules.firings(health::Rule::kStarvation), 1u);
+  EXPECT_EQ(rules.warningsEmitted(), 1u);
+  EXPECT_EQ(rules.totalFirings(), 1u);
+  EXPECT_FALSE(rules.firing(health::Rule::kStealStorm));
+  EXPECT_FALSE(rules.firing(health::Rule::kStalledIncumbent));
+  EXPECT_FALSE(rules.firing(health::Rule::kProbeLiveness));
 }
 
-TEST(Watchdog, FinishedSearchHoldsAllFire) {
-  health::Watchdog wd;
-  health::Config cfg;
-  cfg.interval = 2ms;
+TEST(HealthRules, FinishedSearchHoldsAllFire) {
+  auto cfg = quietConfig();
   cfg.starvationWindows = 1;
-  cfg.probeStale = 1ms;  // would fire instantly on an active search
-  wd.start(cfg, starvedProbe(prof::nowNanos(), /*active=*/false), 0);
-  std::this_thread::sleep_for(40ms);
-  EXPECT_EQ(wd.totalFirings(), 0u);
-  EXPECT_EQ(wd.warningsEmitted(), 0u);
-  wd.stop();
+  cfg.stallWarn = std::chrono::milliseconds(1);
+  cfg.probeStale = std::chrono::milliseconds(1);
+  cfg.stealStormFailedPerSec = 1.0;
+  health::Rules rules(cfg);
+  Seq seq;
+  seq.cur.searchActive = false;
+  seq.cur.objective = 7;
+  for (int i = 0; i < 10; ++i) {
+    // Every rule's condition holds: idle, no probes, a stale incumbent and
+    // a flood of failed steals - but the search is over.
+    seq.step(rules, true, [](telemetry::Sample& s) {
+      s.lastProbeNanos = 1;
+      s.metrics.failedSteals += 1000;
+    });
+  }
+  EXPECT_EQ(rules.totalFirings(), 0u);
+  EXPECT_EQ(rules.warningsEmitted(), 0u);
 }
 
-TEST(Watchdog, StalledIncumbentNeedsOptInAndAnIncumbent) {
-  const auto t0 = prof::nowNanos();
-  health::Watchdog wd;
-  health::Config cfg;
-  cfg.interval = 2ms;
-  cfg.stallWarn = 5ms;
-  auto probe = starvedProbe(t0);
-  probe.objective = [] { return std::int64_t{42}; };  // != objectiveNone
-  cfg.starvationWindows = 1000000;  // keep starvation out of this test
-  wd.start(cfg, std::move(probe), 0);
+TEST(HealthRules, StalledIncumbentNeedsOptInAndAnIncumbent) {
+  auto cfg = quietConfig();
+  cfg.stallWarn = std::chrono::milliseconds(25);
+  health::Rules noIncumbent(cfg);
+  Seq a;
+  for (int i = 0; i < 10; ++i) a.step(noIncumbent, false);
+  EXPECT_EQ(noIncumbent.totalFirings(), 0u) << "no incumbent yet";
 
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (!wd.firing(health::Rule::kStalledIncumbent) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  EXPECT_TRUE(wd.firing(health::Rule::kStalledIncumbent));
-  EXPECT_EQ(wd.firings(health::Rule::kStalledIncumbent), 1u);
-  wd.stop();
+  health::Rules notOptedIn(quietConfig());  // stallWarn 0: rule off
+  Seq b;
+  b.cur.objective = 42;
+  for (int i = 0; i < 10; ++i) b.step(notOptedIn, false);
+  EXPECT_EQ(notOptedIn.totalFirings(), 0u);
+
+  health::Rules rules(cfg);
+  Seq c;
+  c.cur.objective = 42;
+  c.step(rules, false);
+  c.step(rules, false, [](telemetry::Sample& s) { s.objective = 43; });
+  c.step(rules, false);
+  c.step(rules, false);
+  EXPECT_FALSE(rules.firing(health::Rule::kStalledIncumbent))
+      << "20ms since the improvement";
+  c.step(rules, false);
+  EXPECT_TRUE(rules.firing(health::Rule::kStalledIncumbent))
+      << "30ms since the improvement";
+  EXPECT_EQ(rules.firings(health::Rule::kStalledIncumbent), 1u);
+  EXPECT_EQ(rules.totalFirings(), 1u);
+}
+
+TEST(HealthRules, StealStormFiresPastItsThreshold) {
+  auto cfg = quietConfig();
+  cfg.stealStormFailedPerSec = 1000.0;  // 10 per 10ms window
+  health::Rules rules(cfg);
+  Seq seq;
+  seq.step(rules, false, [](telemetry::Sample& s) {
+    s.metrics.failedSteals += 5;  // 500/s
+  });
+  EXPECT_FALSE(rules.firing(health::Rule::kStealStorm));
+  seq.step(rules, false, [](telemetry::Sample& s) {
+    s.metrics.failedSteals += 20;  // 2000/s
+  });
+  EXPECT_TRUE(rules.firing(health::Rule::kStealStorm));
+  EXPECT_EQ(rules.firings(health::Rule::kStealStorm), 1u);
+  EXPECT_EQ(rules.totalFirings(), 1u);
+}
+
+TEST(HealthRules, ProbeLivenessFiresPastItsThreshold) {
+  auto cfg = quietConfig();
+  cfg.probeStale = std::chrono::milliseconds(35);
+  health::Rules rules(cfg);
+  Seq seq;
+  const auto lastProbe = seq.cur.tNanos;
+  const auto silent = [lastProbe](telemetry::Sample& s) {
+    s.lastProbeNanos = lastProbe;
+  };
+  for (int i = 0; i < 3; ++i) seq.step(rules, false, silent);
+  EXPECT_FALSE(rules.firing(health::Rule::kProbeLiveness)) << "30ms silent";
+  seq.step(rules, false, silent);
+  EXPECT_TRUE(rules.firing(health::Rule::kProbeLiveness)) << "40ms silent";
+  EXPECT_EQ(rules.firings(health::Rule::kProbeLiveness), 1u);
+
+  // Before any probe at all, silence counts from the first window's start.
+  health::Rules fresh(cfg);
+  Seq never;
+  const auto none = [](telemetry::Sample& s) { s.lastProbeNanos = 0; };
+  for (int i = 0; i < 3; ++i) never.step(fresh, false, none);
+  EXPECT_FALSE(fresh.firing(health::Rule::kProbeLiveness));
+  never.step(fresh, false, none);
+  EXPECT_TRUE(fresh.firing(health::Rule::kProbeLiveness));
+}
+
+TEST(HealthRules, RuleClearsSilently) {
+  auto cfg = quietConfig();
+  cfg.starvationWindows = 1;
+  health::Rules rules(cfg);
+  Seq seq;
+  seq.step(rules, /*idle=*/true);
+  ASSERT_TRUE(rules.firing(health::Rule::kStarvation));
+  seq.step(rules, /*idle=*/false);  // work arrived
+  EXPECT_FALSE(rules.firing(health::Rule::kStarvation));
+  EXPECT_EQ(rules.firings(health::Rule::kStarvation), 1u);
+  EXPECT_EQ(rules.warningsEmitted(), 1u) << "clearing prints nothing";
+}
+
+TEST(HealthRules, RefiringInsideTheCooldownIsCountedNotPrinted) {
+  health::Config cfg;
+  cfg.starvationWindows = 1;
+  cfg.warnCooldown = std::chrono::milliseconds(50);
+  health::Rules rules(cfg);
+  Seq seq;
+  seq.step(rules, true);   // t=10ms: fires, printed
+  seq.step(rules, false);  // clears
+  seq.step(rules, true);   // t=30ms: fires again inside the 50ms cooldown
+  EXPECT_EQ(rules.firings(health::Rule::kStarvation), 2u);
+  EXPECT_EQ(rules.warningsEmitted(), 1u);
+  for (int i = 0; i < 4; ++i) seq.step(rules, false);
+  seq.step(rules, true);   // t=80ms: 70ms after the last print
+  EXPECT_EQ(rules.firings(health::Rule::kStarvation), 3u);
+  EXPECT_EQ(rules.warningsEmitted(), 2u);
+  EXPECT_EQ(rules.totalFirings(), 3u);
 }
 
 // ---- status endpoint: renderers -------------------------------------------
@@ -323,25 +416,25 @@ std::vector<statusd::RankStatus> fakeRanks() {
   std::vector<statusd::RankStatus> ranks(2);
   for (int r = 0; r < 2; ++r) {
     auto& s = ranks[static_cast<std::size_t>(r)];
-    s.rank = r;
     s.world = 2;
     s.uptimeSeconds = 1.5;
-    s.searchActive = (r == 0);
-    s.poolDepth = 7;
-    s.netQueued = 3;
-    s.metrics.nodesProcessed = 100u + static_cast<std::uint64_t>(r);
-    s.metrics.tasksSpawned = 10;
-    s.metrics.failedSteals = 2;
-    s.metrics.healthWarnings = static_cast<std::uint64_t>(r);
-    s.profile.workers.resize(2);
-    s.profile.workers[0]
+    auto& smp = s.sample;
+    smp.rank = r;
+    smp.searchActive = (r == 0);
+    smp.poolDepth = 7;
+    smp.netQueued = 3;
+    smp.metrics.nodesProcessed = 100u + static_cast<std::uint64_t>(r);
+    smp.metrics.tasksSpawned = 10;
+    smp.metrics.failedSteals = 2;
+    smp.metrics.healthWarnings = static_cast<std::uint64_t>(r);
+    smp.profile.workers.resize(2);
+    smp.profile.workers[0]
         .nanos[static_cast<std::size_t>(prof::Phase::kWorking)] =
         2'000'000'000;  // 2s
     s.rules.push_back({"starvation", true, r == 1, r == 1 ? 1u : 0u});
     s.rules.push_back({"stalled-incumbent", false, false, 0});
   }
-  ranks[0].hasObjective = true;
-  ranks[0].objective = -12;
+  ranks[0].sample.objective = -12;
   return ranks;
 }
 
@@ -450,9 +543,10 @@ std::string bodyOf(const std::string& response) {
   return sep == std::string::npos ? std::string() : response.substr(sep + 4);
 }
 
-// Sum every `yewpar_<name>_total{...} value` line for one counter name.
-std::uint64_t sumCounter(const std::string& metrics,
-                         const std::string& name) {
+// Sum every `yewpar_<name>_total{...} value` line for one counter name
+// whose labels contain `label` (empty: every line of that name).
+std::uint64_t sumLabelled(const std::string& metrics, const std::string& name,
+                          const std::string& label) {
   std::uint64_t sum = 0;
   std::istringstream lines(metrics);
   std::string line;
@@ -461,9 +555,15 @@ std::uint64_t sumCounter(const std::string& metrics,
     if (line.rfind(prefix, 0) != 0) continue;
     const auto sp = line.find("} ");
     if (sp == std::string::npos) continue;
+    if (line.substr(0, sp).find(label) == std::string::npos) continue;
     sum += std::strtoull(line.c_str() + sp + 2, nullptr, 10);
   }
   return sum;
+}
+
+std::uint64_t sumCounter(const std::string& metrics,
+                         const std::string& name) {
+  return sumLabelled(metrics, name, "");
 }
 
 }  // namespace
@@ -594,13 +694,21 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
     EXPECT_TRUE(validJson(statusBody)) << statusBody;
     EXPECT_NE(statusBody.find("\"world\": 2"), std::string::npos);
 
-    // The scrapes happened after both ranks quiesced their counters:
-    // summing the per-rank exposition lines of both ports reproduces the
-    // final report exactly.
+    // The scrapes happened after both ranks published their final Sample,
+    // the one each rank's gather shipped: summing the per-rank exposition
+    // lines of both ports reproduces the final report exactly - including
+    // the transport counters, which a rank's gather reply itself bumps
+    // after its snapshot.
     EXPECT_EQ(sumCounter(metricsBody, "yewpar_nodes_processed_total"),
               res->metrics.nodesProcessed);
     EXPECT_EQ(sumCounter(metricsBody, "yewpar_tasks_spawned_total"),
               res->metrics.tasksSpawned);
+    EXPECT_EQ(sumCounter(metricsBody, "yewpar_network_messages_total"),
+              res->metrics.networkMessages);
+    EXPECT_EQ(sumCounter(metricsBody, "yewpar_network_bytes_total"),
+              res->metrics.networkBytes);
+    EXPECT_EQ(sumLabelled(metricsBody, "yewpar_steals_total", "kind=\"failed\""),
+              res->metrics.failedSteals);
 
     // The outcome carries one phase snapshot per locality. Each worker's
     // phases must tile its own independently stamped wall (a gap means a
@@ -672,11 +780,36 @@ TEST(StatusServer, SimRankWithATakenPortAbortsTheRunNamingIt) {
   FAIL() << "no attempt could bind a blocker port";
 }
 
+TEST(StatusServer, SimRankPastPort65535AbortsTheRunNamingIt) {
+  // --status-port 65535 puts rank 1 on port 65536, which a 16-bit port
+  // would wrap to 0 (a random ephemeral port, silently). Rank 1 refuses to
+  // start instead, and the run aborts naming it and its port.
+  Params p;
+  p.nLocalities = 2;
+  p.workersPerLocality = 1;
+  p.dcutoff = 3;
+  p.statusPort = 65535;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string error;
+  try {
+    skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
+        p, SynthSpace{3, 7}, SynthNode{0, 1});
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  if (error.find("cannot listen on port 65535") != std::string::npos) {
+    GTEST_SKIP() << "port 65535 is held by another process: " << error;
+  }
+  EXPECT_NE(error.find("rank 1 died"), std::string::npos) << error;
+  EXPECT_NE(error.find("port 65536"), std::string::npos) << error;
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+}
+
 // ---- sampler CSV: per-worker columns --------------------------------------
 
 TEST(SamplerCsv, EmitsPerWorkerBusyIdleColumns) {
   TempFile out("test_observability_csv");
-  std::vector<trace::Sample> rows(2);
+  std::vector<telemetry::Sample> rows(2);
   rows[0].tNanos = 1'000'000;
   rows[0].rank = 0;
   rows[0].profile.workers.resize(2);
@@ -689,7 +822,7 @@ TEST(SamplerCsv, EmitsPerWorkerBusyIdleColumns) {
   rows[1].tNanos = 2'000'000;
   rows[1].rank = 1;  // no profile: columns pad with zeros
 
-  trace::Sampler::writeCsv(out.path, rows);
+  telemetry::writeCsv(out.path, rows);
   const auto text = slurp(out.path);
   EXPECT_NE(text.find(",w0_busy_ns,w0_idle_ns,w1_busy_ns,w1_idle_ns\n"),
             std::string::npos);

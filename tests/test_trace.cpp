@@ -1,7 +1,7 @@
 // The observability layer (docs/ARCHITECTURE.md "Observability"): per-thread
 // trace ring buffers (overflow-drop accounting, concurrent writers - the CI
 // TSan lane runs this suite), Chrome trace_event JSON export well-formedness,
-// the periodic telemetry sampler's start/stop contract, and a full 2-rank
+// the telemetry tick's start/stop contract and CSV, and a full 2-rank
 // loopback-TCP engine run whose merged trace on rank 0 must carry events
 // from BOTH ranks (`ctest -L net` selects it).
 
@@ -16,6 +16,7 @@
 #include <map>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "common/json.hpp"
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
+#include "runtime/health.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/trace.hpp"
 
 using namespace yewpar;
@@ -256,47 +259,119 @@ TEST(TraceJson, SequentialRunIsOneWholeSearchSpan) {
   EXPECT_NE(text.find("L0.seq"), std::string::npos);
 }
 
-// ---- telemetry sampler ----------------------------------------------------
+// ---- telemetry tick --------------------------------------------------------
+
+namespace {
+
+// The value of column `name` in the last row of a telemetry CSV.
+std::uint64_t lastRowColumn(const std::string& csv, const std::string& name) {
+  std::istringstream lines(csv);
+  std::string header;
+  std::string line;
+  std::string last;
+  std::getline(lines, header);
+  while (std::getline(lines, line)) {
+    if (!line.empty()) last = line;
+  }
+  const auto split = [](const std::string& row) {
+    std::vector<std::string> cells;
+    std::istringstream in(row);
+    std::string cell;
+    while (std::getline(in, cell, ',')) cells.push_back(cell);
+    return cells;
+  };
+  const auto names = split(header);
+  const auto cells = split(last);
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << "no column " << name;
+  const auto i = static_cast<std::size_t>(it - names.begin());
+  EXPECT_LT(i, cells.size()) << "short last row: " << last;
+  return i < cells.size() ? std::stoull(cells[i]) : 0;
+}
+
+}  // namespace
 
 TEST(TraceSampler, StartStopIdempotentAndRestartable) {
-  trace::Sampler s;
+  health::Rules rules;
+  telemetry::Tick tick(/*sampleIntervalMs=*/5, /*healthIntervalMs=*/0, rules);
   std::atomic<int> calls{0};
-  const auto fn = [&calls] {
-    trace::Sample row;
-    row.rank = 0;
+  const auto source = [&calls] {
+    telemetry::Sample row;
     row.poolDepth = static_cast<std::uint64_t>(calls.fetch_add(1));
-    return std::vector<trace::Sample>{row};
+    return row;
   };
 
-  s.start(5ms, fn);
-  s.start(5ms, fn);  // second start: no-op, no second thread
+  tick.start(source);
+  tick.start(source);  // second start: no-op, no second thread
+  EXPECT_TRUE(tick.running());
   std::this_thread::sleep_for(30ms);
-  s.stop();
-  s.stop();  // second stop: no-op
-  const auto rows = s.takeRows();
-  // The final sample is taken during stop(), so at least one row exists
-  // even if the host never scheduled the timer ticks.
-  ASSERT_GE(rows.size(), 1u);
-  EXPECT_EQ(rows.front().rank, 0);
+  tick.stop();
+  tick.stop();  // second stop: no-op
+  EXPECT_FALSE(tick.running());
+  // The tick samples as it starts, so a row exists even if the host never
+  // scheduled a timer tick; every Sample taken is one row.
+  const auto rows = tick.rows().size();
+  ASSERT_GE(rows, 1u);
+  EXPECT_EQ(rows, static_cast<std::size_t>(calls.load()));
 
-  // A stopped sampler restarts cleanly with fresh rows.
-  const int callsBefore = calls.load();
-  s.start(5ms, fn);
-  s.stop();
-  const auto rows2 = s.takeRows();
-  ASSERT_GE(rows2.size(), 1u);
-  EXPECT_GE(calls.load(), callsBefore + 1);
+  // A stopped tick restarts and keeps appending.
+  tick.start(source);
+  tick.stop();
+  EXPECT_GT(tick.rows().size(), rows);
+
+  // The final Sample is the last row and what finalSample() serves.
+  EXPECT_EQ(tick.finalSample(), nullptr);
+  telemetry::Sample fin;
+  fin.poolDepth = 999;
+  tick.finish(fin);
+  ASSERT_NE(tick.finalSample(), nullptr);
+  EXPECT_EQ(tick.finalSample()->poolDepth, 999u);
+  EXPECT_EQ(tick.rows().back().poolDepth, 999u);
+}
+
+TEST(TraceSampler, ZeroIntervalsStartNoTickThread) {
+  health::Rules rules;
+  telemetry::Tick off(0, 0, rules);
+  off.start([] {
+    ADD_FAILURE() << "a tick with both intervals 0 must not sample";
+    return telemetry::Sample{};
+  });
+  EXPECT_FALSE(off.running());
+  off.stop();  // no-op
+  off.finish(telemetry::Sample{});
+  EXPECT_TRUE(off.rows().empty()) << "no CSV rows without the sampler";
+  EXPECT_NE(off.finalSample(), nullptr) << "the status endpoint still needs it";
+}
+
+TEST(TraceSampler, DifferingIntervalsThrowNamingBothFlags) {
+  // Both consumers share one tick: two different cadences cannot be honoured.
+  Params p;
+  p.nLocalities = 2;
+  p.workersPerLocality = 1;
+  p.dcutoff = 2;
+  p.sampleIntervalMs = 5;
+  p.healthIntervalMs = 20;
+  try {
+    skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
+        p, SynthSpace{3, 5}, SynthNode{0, 1});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--sample-interval-ms 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("--health-interval-ms 20"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(TraceSampler, CsvHasHeaderAndOneLinePerRow) {
   TempFile out("test_trace_csv");
-  std::vector<trace::Sample> rows(3);
+  std::vector<telemetry::Sample> rows(3);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     rows[i].tNanos = 1'000'000 * (i + 1);
     rows[i].rank = static_cast<int>(i);
     rows[i].poolDepth = i * 10;
   }
-  trace::Sampler::writeCsv(out.path, rows);
+  telemetry::writeCsv(out.path, rows);
   const auto text = slurp(out.path);
   EXPECT_EQ(text.find("t_ms,rank,pool_depth,net_queued"), 0u);
   std::size_t lines = 0;
@@ -323,12 +398,14 @@ TEST(TraceSampler, EngineRunWritesTelemetryCsv) {
       skeletons::DepthBounded<SynthGen, Enumeration<CountAll>>::search(
           p, space, SynthNode{0, 1});
   EXPECT_TRUE(res.complete);
+  std::uint64_t lastRowNodes = 0;
   for (const auto& path : {csv.path, csv1}) {
     const auto text = slurp(path);
     EXPECT_EQ(text.find("t_ms,rank,pool_depth"), 0u) << path;
-    // The final stop()-time sample guarantees one row per rank at least.
-    EXPECT_NE(text.find("\n"), std::string::npos) << path;
+    // Each rank's last row is its final Sample, the one its gather shipped.
+    lastRowNodes += lastRowColumn(text, "nodes");
   }
+  EXPECT_EQ(lastRowNodes, res.metrics.nodesProcessed);
   std::remove(csv1.c_str());
 }
 
