@@ -10,15 +10,15 @@
 // Breaking the heuristic order delays strong incumbents, which shows up as
 // more nodes searched (less pruning) rather than as a correctness issue.
 //
-// Part 2 - the Ordered skeleton's pool: the single-heap global PriorityPool
-// (one mutex serializing every push/pop/steal) vs the ShardedPriorityPool
-// (per-worker heaps + sequence window, workpool.hpp). The sweep reports the
-// contended-lock count each pool observed (LockCont; exported through
-// MetricsSnapshot::poolLockContentions) and the throughput in tasks per
-// second: the sharded pool must cut contention at high worker counts while
-// producing the SAME search result as the global pool at every window -
-// a mismatch exits non-zero, and the CI bench-smoke lane runs `--tiny` as
-// a gate on exactly that.
+// Part 2 - the Ordered skeleton's pool, ShardedPriorityPool (workpool.hpp),
+// at one shard (one global heap: every push/pop/steal on one lock) vs one
+// shard per worker at several sequence windows. The sweep reports the
+// contended-lock count each configuration observed (LockCont; exported
+// through MetricsSnapshot::poolLockContentions) and the throughput in tasks
+// per second: per-worker shards must cut contention at high worker counts,
+// and every row must produce the Sequential skeleton's result (uts::countTree
+// for UTS) - a mismatch exits non-zero, and the CI bench-smoke lane runs
+// `--tiny` as a gate on exactly that.
 //
 // Part 3 - a 2-locality Ordered run, where steal-reply chunks exercise the
 // ascending-run contract across pools (Tasks/Steal > 1 under --chunk-policy
@@ -39,36 +39,36 @@ using namespace yewpar::bench;
 namespace {
 
 struct OrderedCfg {
-  rt::PoolPolicy pool;
+  int shards;  // Params::orderedShards: 0 = one per worker
   std::uint64_t window;
   const char* name;
 };
 
-// The sharded rows sweep the window: infinite (degenerates to the global
-// hand-out order), a small finite window, and 0 (near-sequential order).
+// One shard is the global heap (exact global hand-out order at any window);
+// the per-worker rows sweep the window: infinite (unbounded run-ahead), a
+// small finite window, and 0 (near-sequential order).
 constexpr OrderedCfg kOrderedCfgs[] = {
-    {rt::PoolPolicy::Priority, rt::kNoSeqWindow, "global"},
-    {rt::PoolPolicy::PrioritySharded, rt::kNoSeqWindow, "sharded-winf"},
-    {rt::PoolPolicy::PrioritySharded, 64, "sharded-w64"},
-    {rt::PoolPolicy::PrioritySharded, 0, "sharded-w0"},
+    {1, rt::kNoSeqWindow, "1-shard"},
+    {0, rt::kNoSeqWindow, "sharded-winf"},
+    {0, 64, "sharded-w64"},
+    {0, 0, "sharded-w0"},
 };
 
 bool gResultMismatch = false;
 
-// One Ordered sweep over pools x worker counts for one workload; `run`
-// executes the search and returns (result, metrics). The global pool's
-// result at each worker count is the oracle every sharded row must equal.
+// One Ordered sweep over pool configs x worker counts for one workload;
+// `run` executes the search and returns (result, metrics). Every row must
+// equal `expect`, the Sequential skeleton's result.
 template <typename RunFn>
 void sweepOrdered(TablePrinter& table, const char* workload, int reps,
-                  const std::vector<int>& workerCounts, RunFn&& run) {
+                  const std::vector<int>& workerCounts, std::int64_t expect,
+                  RunFn&& run) {
   for (int workers : workerCounts) {
-    std::int64_t expect = 0;
-    bool haveExpect = false;
     for (const auto& cfg : kOrderedCfgs) {
       Params p;
       p.workersPerLocality = workers;
       p.dcutoff = 2;
-      p.pool = cfg.pool;
+      p.orderedShards = cfg.shards;
       p.orderedWindow = cfg.window;
       std::int64_t result = 0;
       rt::MetricsSnapshot m;
@@ -77,10 +77,6 @@ void sweepOrdered(TablePrinter& table, const char* workload, int reps,
         result = r.first;
         m = r.second;
       });
-      if (!haveExpect) {
-        expect = result;  // kOrderedCfgs[0] is the global oracle
-        haveExpect = true;
-      }
       const bool ok = result == expect;
       if (!ok) gResultMismatch = true;
       const double tasksPerSec =
@@ -166,10 +162,10 @@ int main(int argc, char** argv) {
               "search anomaly, Section 2.1). The answer is identical for "
               "every policy.\n");
 
-  std::printf("\n== Ablation A2: Ordered pool - global heap vs sharded "
-              "sequence window ==\n");
-  std::printf("(LockCont = contended pool-lock acquisitions; sharded rows "
-              "must match the global row's Result)\n\n");
+  std::printf("\n== Ablation A2: Ordered pool - one shard vs per-worker "
+              "shards and sequence window ==\n");
+  std::printf("(LockCont = contended pool-lock acquisitions; every row must "
+              "match the Sequential skeleton's Result)\n\n");
 
   TablePrinter otable({"Workload", "Pool", "Workers", "Time(s)", "Nodes",
                        "LockCont", "Tasks/s", "Result"});
@@ -182,30 +178,40 @@ int main(int argc, char** argv) {
     tree.b0 = tiny ? 4 : 6;
     tree.maxDepth = tiny ? 8 : 12;
     tree.seed = 33;
-    sweepOrdered(otable, "UTS(geo)", reps, workerCounts, [&](const Params& p) {
-      auto out = skeletons::Ordered<uts::Gen, Enumeration<CountAll>>::search(
-          p, tree, uts::rootNode(tree));
-      return std::make_pair(static_cast<std::int64_t>(out.sum), out.metrics);
-    });
+    const auto expect = static_cast<std::int64_t>(uts::countTree(tree));
+    sweepOrdered(otable, "UTS(geo)", reps, workerCounts, expect,
+                 [&](const Params& p) {
+                   auto out = skeletons::Ordered<
+                       uts::Gen, Enumeration<CountAll>>::search(
+                       p, tree, uts::rootNode(tree));
+                   return std::make_pair(static_cast<std::int64_t>(out.sum),
+                                         out.metrics);
+                 });
   }
 
   {  // CMST optimisation: pruning-heavy, result = optimal cost.
     auto inst = tiny ? cmst::randomInstance(12, 30, 60, 2020)
                      : sweepCmstInstance();
-    sweepOrdered(otable, "CMST", reps, workerCounts, [&](const Params& p) {
-      auto out =
-          skeletons::Ordered<cmst::Gen, Optimisation,
-                             BoundFunction<&cmst::upperBound>>::search(
-              p, inst, cmst::rootNode(inst));
-      return std::make_pair(out.objective, out.metrics);
-    });
+    using Bound = BoundFunction<&cmst::upperBound>;
+    const auto expect =
+        skeletons::Sequential<cmst::Gen, Optimisation, Bound>::search(
+            Params{}, inst, cmst::rootNode(inst))
+            .objective;
+    sweepOrdered(otable, "CMST", reps, workerCounts, expect,
+                 [&](const Params& p) {
+                   auto out =
+                       skeletons::Ordered<cmst::Gen, Optimisation,
+                                          Bound>::search(
+                           p, inst, cmst::rootNode(inst));
+                   return std::make_pair(out.objective, out.metrics);
+                 });
   }
   otable.print(std::cout);
-  std::printf("\nexpectation: at the higher worker count the sharded pool "
-              "shows fewer contended lock acquisitions and higher tasks/s "
-              "than the global heap (the ROADMAP's >8-worker scaling wall); "
-              "window size trades run-ahead freedom against fidelity to the "
-              "sequential order, never correctness.\n");
+  std::printf("\nexpectation: at the higher worker count per-worker "
+              "shards show fewer contended lock acquisitions and higher "
+              "tasks/s than one shard (the ROADMAP's >8-worker scaling "
+              "wall); window size trades run-ahead freedom against fidelity "
+              "to the sequential order, never correctness.\n");
 
   std::printf("\n== Ablation A3: Ordered across 2 localities (chunked "
               "steal replies over the sharded pool) ==\n\n");
@@ -217,14 +223,13 @@ int main(int argc, char** argv) {
     tree.b0 = 4;
     tree.maxDepth = tiny ? 7 : 9;
     tree.seed = 33;
-    std::int64_t expect = 0;
-    bool haveExpect = false;
+    const auto expect = static_cast<std::int64_t>(uts::countTree(tree));
     for (const auto& cfg : kOrderedCfgs) {
       Params p;
       p.nLocalities = 2;
       p.workersPerLocality = 2;
       p.dcutoff = 2;
-      p.pool = cfg.pool;
+      p.orderedShards = cfg.shards;
       p.orderedWindow = cfg.window;
       p.chunk = parseChunkPolicy("adaptive");
       std::int64_t result = 0;
@@ -235,10 +240,6 @@ int main(int argc, char** argv) {
         result = static_cast<std::int64_t>(out.sum);
         m = out.metrics;
       });
-      if (!haveExpect) {
-        expect = result;
-        haveExpect = true;
-      }
       const bool ok = result == expect;
       if (!ok) gResultMismatch = true;
       ntable.addRow({cfg.name, TablePrinter::cell(t, 3),
@@ -250,10 +251,11 @@ int main(int argc, char** argv) {
   ntable.print(std::cout);
 
   if (gResultMismatch) {
-    std::fprintf(stderr, "\nFAIL: a sharded-pool configuration changed a "
-                         "search result vs the global priority pool\n");
+    std::fprintf(stderr, "\nFAIL: an Ordered pool configuration changed a "
+                         "search result vs the Sequential skeleton\n");
     return 1;
   }
-  std::printf("\nall sharded-pool results identical to the global pool.\n");
+  std::printf("\nevery Ordered pool configuration matches the Sequential "
+              "skeleton.\n");
   return 0;
 }

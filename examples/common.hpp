@@ -34,13 +34,19 @@ inline std::vector<std::string> splitPeers(const std::string& spec) {
 inline Params paramsFromFlags(const Flags& f) {
   // Flags ignores unknown keys, so a removed flag would otherwise be
   // silently dropped from an old command line.
-  if (f.has("netdelay")) {
-    throw std::invalid_argument(
-        "--netdelay was removed; use --net-delay fixed:<us>");
-  }
-  if (f.has("chunked")) {
-    throw std::invalid_argument(
-        "--chunked was removed; use --chunk-policy all");
+  static constexpr struct {
+    const char* flag;
+    const char* replacement;
+  } kRemovedFlags[] = {
+      {"netdelay", "--net-delay fixed:<us>"},
+      {"chunked", "--chunk-policy all"},
+      {"ordered-pool", "--ordered-shards 1 for one global heap"},
+  };
+  for (const auto& r : kRemovedFlags) {
+    if (f.has(r.flag)) {
+      throw std::invalid_argument(std::string("--") + r.flag +
+                                  " was removed; use " + r.replacement);
+    }
   }
   Params p;
   p.nLocalities = static_cast<int>(f.getInt("localities", 1));
@@ -65,9 +71,7 @@ inline Params paramsFromFlags(const Flags& f) {
   // Ordered-skeleton pool shaping (docs/FLAGS.md): --ordered-window bounds
   // how far any worker may run ahead of the lowest outstanding sequence
   // number ("inf" or a number; default inf), --ordered-shards picks the
-  // shard count (0 = one per worker), --ordered-pool global|sharded selects
-  // the single-heap oracle vs the sharded default. Only an explicit
-  // --ordered-pool touches p.pool, so non-Ordered skeletons keep theirs.
+  // shard count (0 = one per worker, 1 = one global heap).
   {
     if (auto spec = f.raw("ordered-window")) {
       if (*spec == "inf") {
@@ -80,16 +84,6 @@ inline Params paramsFromFlags(const Flags& f) {
         static_cast<int>(f.getInt("ordered-shards", p.orderedShards));
     if (p.orderedShards < 0) {
       throw std::invalid_argument("--ordered-shards needs a count >= 0");
-    }
-    if (auto spec = f.raw("ordered-pool")) {
-      if (*spec == "global") {
-        p.pool = rt::PoolPolicy::Priority;
-      } else if (*spec == "sharded") {
-        p.pool = rt::PoolPolicy::PrioritySharded;
-      } else {
-        throw std::invalid_argument("unknown --ordered-pool " + *spec +
-                                    " (expected global|sharded)");
-      }
     }
   }
   // Link shaping, applied by rt::ShapedTransport on BOTH backends

@@ -56,28 +56,22 @@ struct Params {
   // Same as `chunk`; bench/perf/perf.cpp still calls it.
   ChunkPolicy effectiveChunk() const { return chunk; }
 
-  // RandomSpawn: expected one task spawned per this many children generated
-  // (Section 4's "random task creation" extension point). 0 = use default.
-  std::uint64_t randomSpawnOneIn = 0;
-
   // Decision searches: objective value that counts as "found" (the greatest
   // element of the bounded order, e.g. k in k-clique).
   std::int64_t decisionTarget = 0;
 
   // Workpool policy (DepthPool preserves heuristic order; see ablation A).
-  // The Ordered skeleton overrides this to PrioritySharded unless a priority
-  // policy was already requested explicitly (--ordered-pool global keeps
-  // the single-heap PriorityPool as the replicability oracle).
+  // The Ordered skeleton always overrides this to PrioritySharded.
   rt::PoolPolicy pool = rt::PoolPolicy::Depth;
 
   // Ordered/PrioritySharded: sequence window (--ordered-window). A worker
   // may only run a task whose seq is within this distance of the lowest
-  // outstanding sequence number; rt::kNoSeqWindow = unbounded run-ahead
-  // (degenerates to the global PriorityPool's hand-out order).
+  // outstanding sequence number; rt::kNoSeqWindow = unbounded run-ahead.
   std::uint64_t orderedWindow = rt::kNoSeqWindow;
 
   // Ordered/PrioritySharded: shard count (--ordered-shards); 0 = one shard
-  // per worker thread.
+  // per worker thread, 1 = one global heap (the exact sequential hand-out
+  // order at any window).
   int orderedShards = 0;
 
   int effectiveOrderedShards() const {
@@ -111,9 +105,6 @@ struct Params {
   // search drains without expanding further and the outcome is flagged
   // incomplete. Used by tests and parameter sweeps, never by default.
   std::uint64_t maxNodes = 0;
-
-  // Print coordination metrics on completion (benches enable this).
-  bool verbose = false;
 
   // Observability (--trace, --sample-interval-ms, --sample-csv; see
   // docs/ARCHITECTURE.md "Observability"). Empty traceFile = tracing

@@ -451,6 +451,17 @@ struct Engine {
   // rank runs runRank() over its own ShapedTransport, so both transports
   // share one lifecycle and differ only in the wire under the shaper.
   static Out run(const Params& params, const Space& space, const Node& root) {
+    // Zero workers would finish with an empty result and zero simulated
+    // localities would index an empty fabric; neither is a search.
+    if (params.workersPerLocality < 1) {
+      throw std::invalid_argument(
+          "Params::workersPerLocality must be >= 1, got " +
+          std::to_string(params.workersPerLocality));
+    }
+    if (params.transport == TransportKind::Sim && params.nLocalities < 1) {
+      throw std::invalid_argument("Params::nLocalities must be >= 1, got " +
+                                  std::to_string(params.nLocalities));
+    }
     Timer timer;
     // Armed before any transport exists, so every thread a transport or a
     // rank spawns registers its trace buffer inside this session. Phase

@@ -13,12 +13,11 @@
 // Sequential skeleton's order. This bounds detrimental performance
 // anomalies: no worker can run far ahead of the sequential frontier.
 //
-// Two pool implementations provide the order: the single-heap PriorityPool
-// (one global mutex - the replicability oracle, selectable with
-// --ordered-pool global) and the default ShardedPriorityPool (per-worker
-// heaps + a sequence window bounding run-ahead, --ordered-window /
-// --ordered-shards; see workpool.hpp). tests/test_ordered.cpp pins the two
-// to byte-identical search results.
+// The pool is always a ShardedPriorityPool (see workpool.hpp): per-worker
+// heaps by default, one global heap with --ordered-shards 1, and a
+// sequence window bounding run-ahead with --ordered-window.
+// tests/test_ordered.cpp pins every configuration to the Sequential
+// skeleton's results.
 
 #include "core/skeletons/engine.hpp"
 #include "core/skeletons/subtree_search.hpp"
@@ -103,14 +102,7 @@ struct Ordered {
   using Out = typename Eng::Out;
 
   static Out search(Params params, const Space& space, const Node& root) {
-    // Default to the sharded ordered pool; an explicit Priority request
-    // (--ordered-pool global) keeps the single-heap pool as the
-    // replicability oracle, and an explicit PrioritySharded keeps whatever
-    // shard/window configuration the caller set.
-    if (params.pool != rt::PoolPolicy::Priority &&
-        params.pool != rt::PoolPolicy::PrioritySharded) {
-      params.pool = rt::PoolPolicy::PrioritySharded;
-    }
+    params.pool = rt::PoolPolicy::PrioritySharded;
     if (params.dcutoff < 1) params.dcutoff = 1;
     return Eng::run(params, space, root);
   }

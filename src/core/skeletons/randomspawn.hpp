@@ -3,8 +3,8 @@
 // RandomSpawn search coordination - the second extension point named in
 // paper Section 4 ("new coordination methods may provide best-first search
 // or *random task creation*"). Each generated child is converted into a
-// workpool task with probability 1/randomSpawnOneIn and searched inline
-// otherwise. Expected work generation is steady and size-agnostic: no
+// workpool task with probability 1/64 (rsdetail::kSpawnOneIn) and searched
+// inline otherwise. Expected work generation is steady and size-agnostic: no
 // parameters tied to tree shape (depth cutoffs) or search dynamics
 // (backtrack budgets), at the cost of ignoring the subtree-size heuristic
 // that Depth-Bounded and Stack-Stealing exploit.
@@ -15,7 +15,8 @@ namespace yewpar::skeletons {
 
 namespace rsdetail {
 
-inline constexpr std::uint64_t kDefaultOneIn = 64;
+// Expected one task spawned per this many children generated.
+inline constexpr std::uint64_t kSpawnOneIn = 64;
 
 template <typename Gen>
 struct Coord {
@@ -26,10 +27,6 @@ struct Coord {
     ctx.applyVisit(res);
     if (res.action == detail::Action::Prune) ++ws.acc.prunes;
     if (res.action != detail::Action::Continue) return;
-
-    const auto oneIn = ctx.params().randomSpawnOneIn != 0
-                           ? ctx.params().randomSpawnOneIn
-                           : kDefaultOneIn;
 
     std::vector<Gen> genStack;
     genStack.reserve(64);
@@ -46,7 +43,7 @@ struct Coord {
 
       // Random task creation: hive the child off unvisited; the executing
       // worker visits it, exactly like every other spawn rule.
-      if (ws.rng.below(oneIn) == 0) {
+      if (ws.rng.below(kSpawnOneIn) == 0) {
         const auto depth =
             task.depth + static_cast<std::int32_t>(genStack.size());
         ctx.spawn(typename Ctx::Task{std::move(child), depth});

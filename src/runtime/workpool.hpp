@@ -25,15 +25,11 @@
 //                                            its relative FIFO order
 //   DequePool     back (LIFO) or front       FRONT: the oldest tasks, closest
 //                 (FIFO) per constructor     to the root
-//   PriorityPool  lowest sequence number     lowest sequence number: the
-//                                            global order is the guarantee,
-//                                            so there is no distinct steal
-//                                            end; a stolen chunk is handed
-//                                            out in ascending sequence order
 //   Sharded-      own shard's lowest, if     lowest sequence number across
 //   PriorityPool  within the sequence        all shards (always within the
 //                 window; else the lowest    window); a chunk is handed out
-//                 across all shards          in ascending sequence order
+//                 across all shards. One     in ascending sequence order
+//                 shard: the lowest overall
 //
 // All pools support chunked hand-out (steal replies carrying several tasks
 // in one message): stealMany(k) for an explicit count, stealChunk(policy)
@@ -74,8 +70,7 @@ enum class PoolPolicy {
   Depth,      // order-preserving depth pool (YewPar default)
   DequeLifo,  // LIFO local pop (standard work-stealing deque)
   DequeFifo,  // FIFO local pop (centralised queue behaviour)
-  Priority,   // strict sequential-order priority pool (single global heap)
-  PrioritySharded,  // per-worker heaps + sequence window (Ordered default)
+  PrioritySharded,  // lowest-sequence-first heaps + sequence window (Ordered)
 };
 
 // Sequence window value meaning "no window": any task may be handed out
@@ -170,9 +165,10 @@ inline std::string chunkPolicyName(const ChunkPolicy& p) {
 
 // LockGuard that counts contended acquisitions: a failed try_lock before
 // the blocking lock means another thread held the mutex at that instant.
-// The pools use it to expose lockContentions(), the mutex-hold pressure
-// metric that bench/ablation_workpool compares across pool designs. The
-// counter is relaxed - it is a diagnostic tally, not a synchronisation.
+// ShardedPriorityPool uses it to expose lockContentions(), the mutex-hold
+// pressure metric that bench/ablation_workpool compares across shard
+// counts. The counter is relaxed - it is a diagnostic tally, not a
+// synchronisation.
 class SCOPED_CAPABILITY CountingLockGuard {
  public:
   CountingLockGuard(Mutex& m, std::atomic<std::uint64_t>& contentions)
@@ -197,18 +193,14 @@ class Workpool {
  public:
   virtual ~Workpool() = default;
 
-  virtual void push(T task, int depth) = 0;
-  virtual std::optional<T> pop() = 0;
-
-  // Worker-attributed entry points. Sharding pools route on the worker id
-  // (a task pushed by worker w lands in w's shard; w's pops hit only w's
-  // shard lock); every other pool ignores the id and uses its single
-  // structure. Pass -1 for unattributed callers (the manager thread pushing
-  // a steal reply, the root task).
-  virtual void push(T task, int depth, int /*worker*/) {
-    push(std::move(task), depth);
-  }
-  virtual std::optional<T> pop(int /*worker*/) { return pop(); }
+  // `worker` attributes the call. The sharded pool routes on it (a task
+  // pushed by worker w lands in w's shard; w's pops hit only w's shard
+  // lock); every other pool ignores it and uses its single structure.
+  // Unattributed callers (the manager thread pushing a steal reply, the
+  // root task) pass -1. Every override repeats the default, so calls on a
+  // concrete pool may omit it too.
+  virtual void push(T task, int depth, int worker = -1) = 0;
+  virtual std::optional<T> pop(int worker = -1) = 0;
 
   // Contended lock acquisitions observed by this pool since construction
   // (0 for pools that do not track it). Monotone; read at any time.
@@ -273,12 +265,7 @@ class Workpool {
 template <typename T>
 class DepthPool final : public Workpool<T> {
  public:
-  // Overriding the 2-arg signatures keeps the base's worker-attributed
-  // overloads (which delegate to these) visible.
-  using Workpool<T>::push;
-  using Workpool<T>::pop;
-
-  void push(T task, int depth) override EXCLUDES(mtx_) {
+  void push(T task, int depth, int /*worker*/ = -1) override EXCLUDES(mtx_) {
     {
       LockGuard lock(mtx_);
       buckets_[depth].push_back(std::move(task));
@@ -288,7 +275,7 @@ class DepthPool final : public Workpool<T> {
   }
 
   // Local pop: front of the shallowest bucket (heuristic-best first).
-  std::optional<T> pop() override EXCLUDES(mtx_) {
+  std::optional<T> pop(int /*worker*/ = -1) override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
     for (auto it = buckets_.begin(); it != buckets_.end();) {
       if (it->second.empty()) {
@@ -355,12 +342,10 @@ class DepthPool final : public Workpool<T> {
 template <typename T>
 class DequePool final : public Workpool<T> {
  public:
-  using Workpool<T>::push;
-  using Workpool<T>::pop;
-
   explicit DequePool(bool lifoLocal) : lifoLocal_(lifoLocal) {}
 
-  void push(T task, int /*depth*/) override EXCLUDES(mtx_) {
+  void push(T task, int /*depth*/, int /*worker*/ = -1) override
+      EXCLUDES(mtx_) {
     {
       LockGuard lock(mtx_);
       q_.push_back(std::move(task));
@@ -368,7 +353,7 @@ class DequePool final : public Workpool<T> {
     this->notifyWaiters();
   }
 
-  std::optional<T> pop() override EXCLUDES(mtx_) {
+  std::optional<T> pop(int /*worker*/ = -1) override EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
     if (q_.empty()) return std::nullopt;
     T t;
@@ -416,90 +401,12 @@ class DequePool final : public Workpool<T> {
   bool lifoLocal_;
 };
 
-// Priority pool used by the Ordered skeleton: tasks carry a sequence number
+// Ordered pool used by the Ordered skeleton: tasks carry a sequence number
 // (their position in the Sequential skeleton's traversal order) and are
-// always handed out lowest-sequence-first, by local pops and steals alike.
-// This is the strongest form of heuristic-order preservation: the task
-// execution order is a prefix-parallelisation of the sequential order, the
-// key ingredient of replicable branch-and-bound (paper Section 2.1's
-// anomaly discussion and ref [4]). A chunked steal hands out the k lowest
-// sequence numbers in ascending order, so a thief replaying the chunk
-// through its own priority pool preserves the global order.
-template <typename T>
-  requires requires(T t) { t.seq; }
-class PriorityPool final : public Workpool<T> {
- public:
-  using Workpool<T>::push;
-  using Workpool<T>::pop;
-
-  void push(T task, int /*depth*/) override EXCLUDES(mtx_) {
-    {
-      CountingLockGuard lock(mtx_, contentions_);
-      heap_.push_back(std::move(task));
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
-    }
-    this->notifyWaiters();
-  }
-
-  std::optional<T> pop() override EXCLUDES(mtx_) {
-    CountingLockGuard lock(mtx_, contentions_);
-    if (heap_.empty()) return std::nullopt;
-    return takeTop();
-  }
-
-  std::vector<T> stealMany(std::size_t k) override EXCLUDES(mtx_) {
-    CountingLockGuard lock(mtx_, contentions_);
-    return stealLocked(k);
-  }
-
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override
-      EXCLUDES(mtx_) {
-    CountingLockGuard lock(mtx_, contentions_);
-    return stealLocked(policy.chunkFor(heap_.size()));
-  }
-
-  std::size_t size() const override EXCLUDES(mtx_) {
-    LockGuard lock(mtx_);
-    return heap_.size();
-  }
-
-  // Contended acquisitions on the one global mutex, across every task
-  // operation (size() telemetry reads are excluded so both priority pools
-  // count the same thing: task-path pressure).
-  std::uint64_t lockContentions() const override {
-    return contentions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static bool cmp(const T& a, const T& b) { return a.seq > b.seq; }
-
-  std::vector<T> stealLocked(std::size_t k) REQUIRES(mtx_) {
-    std::vector<T> out;
-    const std::size_t take = std::min(k, heap_.size());
-    out.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(takeTop());
-    }
-    return out;
-  }
-
-  // Caller holds mtx_ and guarantees the heap is non-empty.
-  T takeTop() REQUIRES(mtx_) {
-    std::pop_heap(heap_.begin(), heap_.end(), cmp);
-    T t = std::move(heap_.back());
-    heap_.pop_back();
-    return t;
-  }
-
-  mutable Mutex mtx_;
-  std::vector<T> heap_ GUARDED_BY(mtx_);
-  mutable std::atomic<std::uint64_t> contentions_{0};
-};
-
-// Sharded ordered pool: the scaling fix for the PriorityPool's single global
-// mutex (the Ordered skeleton's wall beyond ~8 workers) that keeps the
-// prefix-parallelisation property the paper's replicability argument rests
-// on. Structure:
+// handed out lowest-sequence-first, so the task execution order is a
+// prefix-parallelisation of the sequential order - the key ingredient of
+// replicable branch-and-bound (paper Section 2.1's anomaly discussion and
+// ref [4]). Structure:
 //
 //   - one min-heap *shard* per engine worker, each under its own mutex. A
 //     task pushed by worker w lands in shard w % nShards, so w's local pops
@@ -520,11 +427,14 @@ class PriorityPool final : public Workpool<T> {
 //     non-empty pool always yields a task: the window shapes WHICH task
 //     runs next, never whether one runs (no starvation, window=0 included).
 //
-// Degenerate configurations are the test oracles (tests/test_ordered.cpp):
-// window=kNoSeqWindow never rejects a local top, so the pool behaves like
-// per-worker heaps with min-seeking steals and search results must be
-// byte-identical to the global PriorityPool; window=0 forces every pop to
-// the global minimum, i.e. near-sequential order.
+// One shard is one global heap: every push lands in it, and at any window
+// local pops and steals alike take its minimum, so the pool hands tasks out
+// in the exact global sequence order (--ordered-shards 1). The only
+// difference from a single-lock heap is that a chunked steal takes one task
+// per lock, so it may interleave with concurrent pops; the chunk still
+// arrives ascending. window=0 forces every pop to the global minimum at any
+// shard count, i.e. near-sequential order. tests/test_ordered.cpp runs both
+// configurations against the Sequential skeleton's results.
 //
 // Concurrency caveat (documented, benign): the low-water scan is not
 // atomic with the subsequent take, so under concurrent pushes of *lower*
@@ -550,36 +460,27 @@ class ShardedPriorityPool final : public Workpool<T> {
   }
 
   int shardCount() const { return static_cast<int>(shards_.size()); }
-  std::uint64_t window() const { return window_; }
 
   // Lowest outstanding sequence number across all shards (kNoSeqWindow when
-  // the pool is empty). Lock-free scan of the published per-shard minima;
-  // the cached copy is refreshed as a side effect so telemetry can read
-  // lastLowWaterMark() without rescanning.
+  // the pool is empty). Lock-free scan of the published per-shard minima.
   std::uint64_t lowWaterMark() const {
     std::uint64_t lw = kNoSeqWindow;
     for (const auto& s : shards_) {
       lw = std::min(lw, s->minSeq.load(std::memory_order_acquire));
     }
-    lowWater_.store(lw, std::memory_order_relaxed);
     return lw;
   }
-  std::uint64_t lastLowWaterMark() const {
-    return lowWater_.load(std::memory_order_relaxed);
-  }
 
-  void push(T task, int depth, int worker) override {
+  void push(T task, int /*depth*/, int worker = -1) override {
     const int shard = worker >= 0
                           ? worker % shardCount()
                           : static_cast<int>(
                                 rr_.fetch_add(1, std::memory_order_relaxed) %
                                 static_cast<std::uint64_t>(shardCount()));
-    (void)depth;
     pushTo(shard, std::move(task));
   }
-  void push(T task, int depth) override { push(std::move(task), depth, -1); }
 
-  std::optional<T> pop(int worker) override {
+  std::optional<T> pop(int worker = -1) override {
     if (worker >= 0) {
       Shard& own = *shards_[static_cast<std::size_t>(worker % shardCount())];
       // Fast path: the owner's shard top, if within the window. One lock.
@@ -600,7 +501,6 @@ class ShardedPriorityPool final : public Workpool<T> {
     }
     return t;
   }
-  std::optional<T> pop() override { return pop(-1); }
 
   // Steals always take the globally lowest published task, one shard lock
   // per task; a chunk is sorted ascending before hand-out so a thief
@@ -729,7 +629,6 @@ class ShardedPriorityPool final : public Workpool<T> {
   const int traceRank_;
   std::atomic<std::uint64_t> rr_{0};       // round-robin for worker < 0
   std::atomic<std::size_t> count_{0};      // total tasks across shards
-  mutable std::atomic<std::uint64_t> lowWater_{kNoSeqWindow};
   mutable std::atomic<std::uint64_t> contentions_{0};
   // Shard index of the last popMin take, for trace attribution only (racy
   // between concurrent consumers; a trace label, not a protocol input).
@@ -750,22 +649,15 @@ std::unique_ptr<Workpool<T>> makeWorkpool(PoolPolicy p,
   switch (p) {
     case PoolPolicy::DequeLifo: return std::make_unique<DequePool<T>>(true);
     case PoolPolicy::DequeFifo: return std::make_unique<DequePool<T>>(false);
-    case PoolPolicy::Priority:
-      if constexpr (requires(T t) { t.seq; }) {
-        return std::make_unique<PriorityPool<T>>();
-      } else {
-        // Deliberately a runtime error, not a static_assert: the policy is
-        // a runtime switch, so every branch is instantiated for every task
-        // type. Silently substituting a DepthPool here (the old behaviour)
-        // hid misconfigurations that voided the ordering guarantee.
-        throw std::invalid_argument(
-            "PoolPolicy::Priority requires a task type with a .seq member");
-      }
     case PoolPolicy::PrioritySharded:
       if constexpr (requires(T t) { t.seq; }) {
         return std::make_unique<ShardedPriorityPool<T>>(
             cfg.shards, cfg.seqWindow, cfg.traceRank);
       } else {
+        // Deliberately a runtime error, not a static_assert: the policy is
+        // a runtime switch, so every branch is instantiated for every task
+        // type. Silently substituting a DepthPool here (the old behaviour)
+        // hid misconfigurations that voided the ordering guarantee.
         throw std::invalid_argument(
             "PoolPolicy::PrioritySharded requires a task type with a .seq "
             "member");

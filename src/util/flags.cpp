@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
-#include <cstdlib>
+#include <cctype>
+#include <charconv>
 #include <stdexcept>
 
 namespace yewpar {
@@ -16,6 +17,22 @@ std::string stripDashes(const std::string& s) {
   std::size_t i = 0;
   while (i < s.size() && s[i] == '-') ++i;
   return s.substr(i);
+}
+
+// The whole of `value` as a T, or std::invalid_argument naming the flag: a
+// typo such as "--workers 2x" or "-b abc" must not run a different search.
+// Unsigned T rejects a leading '-' rather than wrapping it.
+template <typename T>
+T parseWhole(const std::string& key, const std::string& value,
+             const char* what) {
+  T out{};
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, out);
+  if (ec != std::errc{} || ptr != last) {
+    throw std::invalid_argument((key.size() == 1 ? "-" : "--") + key +
+                                " needs " + what + ", got '" + value + "'");
+  }
+  return out;
 }
 }  // namespace
 
@@ -57,21 +74,19 @@ std::string Flags::getString(const std::string& key,
 
 long Flags::getInt(const std::string& key, long dflt) const {
   auto v = raw(key);
-  if (!v) return dflt;
-  return std::strtol(v->c_str(), nullptr, 10);
+  return v ? parseWhole<long>(key, *v, "an integer") : dflt;
 }
 
 std::uint64_t Flags::getUint64(const std::string& key,
                                std::uint64_t dflt) const {
   auto v = raw(key);
-  if (!v) return dflt;
-  return std::strtoull(v->c_str(), nullptr, 10);
+  return v ? parseWhole<std::uint64_t>(key, *v, "an unsigned integer")
+           : dflt;
 }
 
 double Flags::getDouble(const std::string& key, double dflt) const {
   auto v = raw(key);
-  if (!v) return dflt;
-  return std::strtod(v->c_str(), nullptr);
+  return v ? parseWhole<double>(key, *v, "a number") : dflt;
 }
 
 bool Flags::getBool(const std::string& key, bool dflt) const {

@@ -21,6 +21,8 @@ class Flags {
   std::optional<std::string> raw(const std::string& key) const;
 
   std::string getString(const std::string& key, const std::string& dflt) const;
+  // The numeric getters return `dflt` for an absent flag and throw
+  // std::invalid_argument naming the flag unless its whole value parses.
   long getInt(const std::string& key, long dflt) const;
   // Full-range unsigned values (budgets, chunk sizes, node caps) that a
   // `long` would truncate on 32-bit longs.

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "../examples/common.hpp"
 #include "core/yewpar.hpp"
 #include "common/run_skeleton.hpp"
 #include "common/synth.hpp"
@@ -181,3 +186,67 @@ INSTANTIATE_TEST_SUITE_P(AllSkeletons, StopSemantics,
                          [](const auto& paramInfo) {
                            return skelName(paramInfo.param);
                          });
+
+namespace {
+// The std::invalid_argument message `run` throws, or "" if it returns.
+template <typename Run>
+std::string rejection(Run&& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+Params paramsFrom(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return examples::paramsFromFlags(
+      Flags(static_cast<int>(args.size()), args.data()));
+}
+}  // namespace
+
+TEST(CoreSmoke, EngineRejectsEmptyLayouts) {
+  // Neither layout can search (zero workers would return an empty result,
+  // zero localities index an empty fabric): the error names the field.
+  SynthSpace space{2, 3};
+  const auto search = [&space](const Params& p) {
+    return rejection([&] {
+      skeletons::DepthBounded<SynthGen, Enum>::search(p, space, SynthNode{});
+    });
+  };
+  EXPECT_NE(search(parParams(1, 0)).find("workersPerLocality"),
+            std::string::npos);
+  EXPECT_NE(search(parParams(0, 1)).find("nLocalities"), std::string::npos);
+}
+
+TEST(ParamsFromFlags, RemovedFlagsNameTheirReplacement) {
+  const auto removed = [](std::vector<const char*> args) {
+    return rejection([&] { paramsFrom(std::move(args)); });
+  };
+  EXPECT_NE(removed({"--netdelay", "200"}).find("use --net-delay"),
+            std::string::npos);
+  EXPECT_NE(removed({"--chunked"}).find("use --chunk-policy all"),
+            std::string::npos);
+  const std::string ordered = removed({"--ordered-pool", "global"});
+  EXPECT_NE(ordered.find("--ordered-pool was removed"), std::string::npos);
+  EXPECT_NE(ordered.find("--ordered-shards 1"), std::string::npos);
+}
+
+TEST(ParamsFromFlags, OrderedShardsOneRunsOneGlobalHeap) {
+  const Params p = paramsFrom({"--ordered-shards", "1", "--workers", "3"});
+  EXPECT_EQ(p.workersPerLocality, 3);
+  EXPECT_EQ(p.effectiveOrderedShards(), 1);
+  SynthSpace space{3, 5};
+  auto out = skeletons::Ordered<SynthGen, Enum>::search(p, space, SynthNode{});
+  EXPECT_EQ(out.sum, completeTreeSize(3, 5));
+}
+
+TEST(ParamsFromFlags, MalformedWorkersIsRejected) {
+  for (const char* bad : {"abc", "2x", ""}) {
+    EXPECT_NE(rejection([&] { paramsFrom({"--workers", bad}); })
+                  .find("--workers"),
+              std::string::npos)
+        << "--workers '" << bad << "'";
+  }
+}

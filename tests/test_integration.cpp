@@ -32,7 +32,6 @@ std::string configName(const Config& c) {
     case rt::PoolPolicy::Depth: s += "_Depth"; break;
     case rt::PoolPolicy::DequeLifo: s += "_Lifo"; break;
     case rt::PoolPolicy::DequeFifo: s += "_Fifo"; break;
-    case rt::PoolPolicy::Priority: s += "_Prio"; break;
     case rt::PoolPolicy::PrioritySharded: s += "_PrioSh"; break;
   }
   return s;

@@ -6,9 +6,9 @@
 // prefix-parallelisation of the Sequential skeleton's traversal order, which
 // bounds the search anomalies of the paper's Section 2.1 and makes results
 // replicable: the same instance must produce byte-identical answers no
-// matter how many workers run it or which ordered-pool implementation backs
-// it. This suite pins that contract across {1,2,4,8} workers x {global
-// single-heap oracle, sharded at window 0 / small / infinite}:
+// matter how many workers run it or how its pool is configured. This suite
+// pins that contract across {1,2,4,8} workers x {one shard (the global
+// heap), per-worker shards at window 0 / small / infinite}:
 //
 //   - UTS enumeration sums are exact-equal to the sequential tree count;
 //   - CMST optimisation reproduces the Sequential incumbent byte-for-byte
@@ -18,9 +18,10 @@
 //     hands out respects the window invariant (no task runs more than
 //     `window` ahead of the lowest outstanding sequence number).
 //
-// window=infinite is the degenerate-to-global oracle; window=0 is the
-// near-sequential-order oracle (pool-level ordering pinned in
-// tests/test_runtime.cpp).
+// The oracles are independent of every pool: uts::countTree and the
+// Sequential skeleton's incumbent. One shard hands out the exact global
+// sequence order; window=0 gives near-sequential order at any shard count
+// (pool-level ordering pinned in tests/test_runtime.cpp).
 
 #include <gtest/gtest.h>
 
@@ -42,16 +43,16 @@ namespace {
 
 // One ordered-pool configuration of the replicability sweep.
 struct PoolCfg {
-  rt::PoolPolicy pool;
+  int shards;  // Params::orderedShards: 0 = one per worker
   std::uint64_t window;
   const char* name;
 };
 
 constexpr PoolCfg kPoolCfgs[] = {
-    {rt::PoolPolicy::Priority, rt::kNoSeqWindow, "global"},
-    {rt::PoolPolicy::PrioritySharded, 0, "sharded_w0"},
-    {rt::PoolPolicy::PrioritySharded, 8, "sharded_w8"},
-    {rt::PoolPolicy::PrioritySharded, rt::kNoSeqWindow, "sharded_winf"},
+    {1, rt::kNoSeqWindow, "global"},
+    {0, 0, "sharded_w0"},
+    {0, 8, "sharded_w8"},
+    {0, rt::kNoSeqWindow, "sharded_winf"},
 };
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
@@ -60,7 +61,7 @@ Params orderedParams(int workers, const PoolCfg& cfg) {
   Params p;
   p.workersPerLocality = workers;
   p.dcutoff = 2;
-  p.pool = cfg.pool;
+  p.orderedShards = cfg.shards;
   p.orderedWindow = cfg.window;
   return p;
 }
@@ -122,7 +123,6 @@ TEST(OrderedReplicability, ShardedPoolSurvivesRemoteSteals) {
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 2;
-    p.pool = rt::PoolPolicy::PrioritySharded;
     p.orderedWindow = window;
     auto out = runSkeleton<uts::Gen, Enumeration<CountAll>>(
         Skel::Ordered, p, tree, uts::rootNode(tree));

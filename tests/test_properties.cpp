@@ -298,7 +298,7 @@ TEST(Serialization, SpacesRoundTrip) {
   }
 }
 
-// ---- priority pool (Ordered skeleton substrate) -----------------------
+// ---- one-shard priority pool (Ordered skeleton substrate) -------------
 
 namespace {
 struct SeqTask {
@@ -307,8 +307,8 @@ struct SeqTask {
 };
 }  // namespace
 
-TEST(PriorityPool, PopsInSequenceOrder) {
-  rt::PriorityPool<SeqTask> pool;
+TEST(OneShardPool, PopsInSequenceOrder) {
+  rt::ShardedPriorityPool<SeqTask> pool(/*shards=*/1);
   Rng rng(9);
   std::vector<std::uint64_t> seqs;
   for (int i = 0; i < 200; ++i) seqs.push_back(rng.below(100000));
@@ -322,8 +322,8 @@ TEST(PriorityPool, PopsInSequenceOrder) {
   EXPECT_FALSE(pool.pop().has_value());
 }
 
-TEST(PriorityPool, StealTakesLowestToo) {
-  rt::PriorityPool<SeqTask> pool;
+TEST(OneShardPool, StealTakesLowestToo) {
+  rt::ShardedPriorityPool<SeqTask> pool(/*shards=*/1);
   pool.push(SeqTask{5, 0}, 0);
   pool.push(SeqTask{1, 0}, 0);
   pool.push(SeqTask{3, 0}, 0);

@@ -271,8 +271,8 @@ struct SeqTask {
 };
 }  // namespace
 
-TEST(PriorityPool, StealManyHandsOutAscendingSeq) {
-  PriorityPool<SeqTask> pool;
+TEST(OneShardPool, StealManyHandsOutAscendingSeq) {
+  ShardedPriorityPool<SeqTask> pool(/*shards=*/1);
   for (std::uint64_t s : {5u, 1u, 4u, 2u, 3u}) {
     pool.push(SeqTask{s}, 0);
   }
@@ -290,6 +290,29 @@ TEST(PriorityPool, StealManyHandsOutAscendingSeq) {
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].seq, 5u);
   EXPECT_TRUE(pool.stealMany(1).empty());
+}
+
+TEST(OneShardPool, MixedWorkersGetStrictlyAscendingSeq) {
+  // One shard is one global heap: whichever worker pushed a task (0..3, or
+  // -1 unattributed) and whichever worker pops, hand-out follows the
+  // global sequence order - the --ordered-shards 1 contract.
+  ShardedPriorityPool<SeqTask> pool(/*shards=*/1);
+  const std::vector<std::uint64_t> seqs = {9, 3, 14, 0, 7, 11,
+                                           1, 5, 12, 2, 8,  6};
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    pool.push(SeqTask{seqs[i]}, 0, static_cast<int>(i % 5) - 1);
+  }
+  std::uint64_t last = 0;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    auto t = pool.pop(static_cast<int>(i % 5) - 1);
+    ASSERT_TRUE(t.has_value());
+    if (i > 0) {
+      EXPECT_GT(t->seq, last) << "pop " << i;
+    }
+    last = t->seq;
+  }
+  EXPECT_EQ(last, 14u);
+  EXPECT_FALSE(pool.pop(0).has_value());
 }
 
 TEST(ShardedPriorityPool, WindowGatesOwnShardPop) {
@@ -379,19 +402,14 @@ TEST(ShardedPriorityPool, StealChunkSizesFromTotalOccupancy) {
 }
 
 TEST(Workpool, MakeWorkpoolRejectsPriorityPoliciesWithoutSeq) {
-  // Pinned: both priority policies on a task type without .seq are a
+  // Pinned: the priority policy on a task type without .seq is a
   // configuration error, not a silent DepthPool substitution (which voided
   // the ordering guarantee the caller asked for).
-  EXPECT_THROW(makeWorkpool<int>(PoolPolicy::Priority), std::invalid_argument);
   EXPECT_THROW(makeWorkpool<int>(PoolPolicy::PrioritySharded),
                std::invalid_argument);
-  // Seq-carrying tasks get real priority pools via the same factory.
-  auto global = makeWorkpool<SeqTask>(PoolPolicy::Priority);
+  // Seq-carrying tasks get a real priority pool via the same factory.
   auto sharded = makeWorkpool<SeqTask>(PoolPolicy::PrioritySharded,
                                        PoolConfig{4, 16, 0});
-  global->push(SeqTask{3}, 0);
-  global->push(SeqTask{1}, 0);
-  EXPECT_EQ(global->pop().value().seq, 1u);
   sharded->push(SeqTask{3}, 0, 2);
   sharded->push(SeqTask{1}, 0, 3);
   EXPECT_EQ(sharded->pop(0).value().seq, 1u);

@@ -11,6 +11,8 @@
 #include "util/table.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 using namespace yewpar;
 
@@ -258,6 +260,56 @@ TEST(Flags, NegativeNumberIsValue) {
   const char* argv[] = {"prog", "--offset", "-5"};
   Flags f(3, argv);
   EXPECT_EQ(f.getInt("offset", 0), -5);
+}
+
+namespace {
+// The std::invalid_argument message `get` throws, or "" if it returns.
+template <typename Get>
+std::string rejection(Get&& get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
+  // A value that parses only in part must not run a different search
+  // ("--workers abc" as zero workers, "-b abc" as no budget, "2x" as 2).
+  const char* argv[] = {"prog",   "--workers", "abc",    "-b",
+                        "abc",    "--w2",      "2x",     "--ratio",
+                        "0.4.1",  "--seed",    "-1",     "--big",
+                        "99999999999999999999",          "--bare"};
+  Flags f(14, argv);
+  EXPECT_NE(rejection([&] { f.getInt("workers", 1); }).find("--workers"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { f.getUint64("b", 1); }).find("-b needs"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { f.getInt("w2", 1); }).find("'2x'"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { f.getDouble("ratio", 0); }).find("--ratio"),
+            std::string::npos);
+  // getUint64 rejects a sign instead of wrapping it to 2^64-1; getInt
+  // takes the same value.
+  EXPECT_NE(rejection([&] { f.getUint64("seed", 1); }).find("--seed"),
+            std::string::npos);
+  EXPECT_EQ(f.getInt("seed", 0), -1);
+  EXPECT_NE(rejection([&] { f.getInt("big", 0); }).find("--big"),
+            std::string::npos);
+  // A bare flag holds "true", which is not a number.
+  EXPECT_NE(rejection([&] { f.getUint64("bare", 0); }).find("--bare"),
+            std::string::npos);
+}
+
+TEST(Flags, WellFormedNumbersStillParse) {
+  const char* argv[] = {"prog", "--q", "0.4", "--p", "1e-3", "--n", "0"};
+  Flags f(7, argv);
+  EXPECT_DOUBLE_EQ(f.getDouble("q", 0), 0.4);
+  EXPECT_DOUBLE_EQ(f.getDouble("p", 0), 1e-3);
+  EXPECT_EQ(f.getInt("n", 7), 0);
+  EXPECT_EQ(f.getUint64("n", 7), 0u);
 }
 
 TEST(Stats, GeometricMean) {
