@@ -3,7 +3,7 @@
 // Shared benchmark infrastructure: the seeded instance families standing in
 // for the paper's DIMACS / finite-geometry instances (no instance files ship
 // with the repo; generators are seeded for reproducibility), skeleton
-// dispatch, and timing helpers.
+// labels, and timing helpers.
 //
 // Scale note: the paper's evaluation machines are a 17-node cluster; this
 // repo runs on whatever the build host offers (possibly one core), so the
@@ -70,7 +70,8 @@ inline apps::cmst::Instance sweepCmstInstance() {
   return apps::cmst::randomInstance(20, 70, 320, 2020);
 }
 
-enum class Skel { Seq, DepthBounded, StackStealing, Budget, Ordered };
+using skeletons::runSkeleton;
+using skeletons::Skel;
 
 inline const char* skelName(Skel s) {
   switch (s) {
@@ -79,31 +80,9 @@ inline const char* skelName(Skel s) {
     case Skel::StackStealing: return "Stack-Stealing";
     case Skel::Budget: return "Budget";
     case Skel::Ordered: return "Ordered";
+    case Skel::RandomSpawn: return "RandomSpawn";
   }
   return "?";
-}
-
-template <typename Gen, typename SearchType, typename... Opts>
-auto runSkel(Skel s, const Params& p, const typename Gen::Space& space,
-             const typename Gen::Node& root) {
-  switch (s) {
-    case Skel::DepthBounded:
-      return skeletons::DepthBounded<Gen, SearchType, Opts...>::search(
-          p, space, root);
-    case Skel::StackStealing:
-      return skeletons::StackStealing<Gen, SearchType, Opts...>::search(
-          p, space, root);
-    case Skel::Budget:
-      return skeletons::Budget<Gen, SearchType, Opts...>::search(p, space,
-                                                                 root);
-    case Skel::Ordered:
-      return skeletons::Ordered<Gen, SearchType, Opts...>::search(p, space,
-                                                                  root);
-    case Skel::Seq:
-    default:
-      return skeletons::Sequential<Gen, SearchType, Opts...>::search(p, space,
-                                                                     root);
-  }
 }
 
 // Median wall time of `reps` runs of fn() (fn returns the result to keep).

@@ -65,7 +65,7 @@ int main() {
       bool decided = true;
       const double t = timeMedian(1, [&] {
         auto out =
-            runSkel<mc::Gen, Decision, BoundFunction<&mc::upperBound>, PruneLevel>(
+            runSkeleton<mc::Gen, Decision, BoundFunction<&mc::upperBound>, PruneLevel>(
                 cfg.skel, p, g, mc::rootNode(g));
         metrics = out.metrics;
         decided = out.decided;

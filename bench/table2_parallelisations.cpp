@@ -79,9 +79,10 @@ SweepRow sweep(Skel skel, double seqTime, RunFn&& runFn, Rng& rng) {
         addRun(p);
       }
       break;
-    // Sequential and Ordered are not swept by this table.
+    // Sequential, Ordered and RandomSpawn are not swept by this table.
     case Skel::Seq:
     case Skel::Ordered:
+    case Skel::RandomSpawn:
       break;
   }
   assert(!speedups.empty() && "sweep() called with an unswept skeleton");
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
     g.sortByDegreeDesc();
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<mc::Gen, Optimisation, BoundFunction<&mc::upperBound>, PruneLevel>(
+        runSkeleton<mc::Gen, Optimisation, BoundFunction<&mc::upperBound>, PruneLevel>(
             s, p, g, mc::rootNode(g));
       });
     };
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
     auto inst = tsp::randomEuclidean(tiny ? 9 : 14, 9);
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<tsp::Gen, Optimisation, BoundFunction<&tsp::upperBound>>(
+        runSkeleton<tsp::Gen, Optimisation, BoundFunction<&tsp::upperBound>>(
             s, p, inst, tsp::rootNode(inst));
       });
     };
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
                      : sweepCmstInstance();
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<cmst::Gen, Optimisation, BoundFunction<&cmst::upperBound>>(
+        runSkeleton<cmst::Gen, Optimisation, BoundFunction<&cmst::upperBound>>(
             s, p, inst, cmst::rootNode(inst));
       });
     };
@@ -168,7 +169,7 @@ int main(int argc, char** argv) {
                      : ks::subsetSumInstance(36, 1000000, 0.4, 17);
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<ks::Gen, Optimisation, BoundFunction<&ks::upperBound>>(
+        runSkeleton<ks::Gen, Optimisation, BoundFunction<&ks::upperBound>>(
             s, p, inst, ks::Node{});
       });
     };
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
     auto run = [&](Params p, Skel s) {
       p.decisionTarget = base.decisionTarget;
       return timeMedian(1, [&] {
-        runSkel<sip::Gen, Decision>(s, p, inst, sip::rootNode(inst));
+        runSkeleton<sip::Gen, Decision>(s, p, inst, sip::rootNode(inst));
       });
     };
     const double seqT = run(base, Skel::Seq);
@@ -195,8 +196,8 @@ int main(int argc, char** argv) {
     auto space = ns::makeSpace(tiny ? 14 : 25);
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<ns::Gen, Enumeration<CountAll>>(s, p, space,
-                                                ns::rootNode(space));
+        runSkeleton<ns::Gen, Enumeration<CountAll>>(s, p, space,
+                                                    ns::rootNode(space));
       });
     };
     const double seqT = run(Params{}, Skel::Seq);
@@ -211,8 +212,8 @@ int main(int argc, char** argv) {
     tree.seed = 19;
     auto run = [&](Params p, Skel s) {
       return timeMedian(1, [&] {
-        runSkel<uts::Gen, Enumeration<CountAll>>(s, p, tree,
-                                                 uts::rootNode(tree));
+        runSkeleton<uts::Gen, Enumeration<CountAll>>(s, p, tree,
+                                                     uts::rootNode(tree));
       });
     };
     const double seqT = run(Params{}, Skel::Seq);

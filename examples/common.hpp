@@ -166,44 +166,42 @@ inline Params paramsFromFlags(const Flags& f) {
   return p;
 }
 
+// The --skeleton names, in the paper artifact's spelling.
+inline constexpr struct {
+  const char* name;
+  skeletons::Skel skel;
+} kSkeletonNames[] = {
+    {"seq", skeletons::Skel::Seq},
+    {"depthbounded", skeletons::Skel::DepthBounded},
+    {"stacksteal", skeletons::Skel::StackStealing},
+    {"budget", skeletons::Skel::Budget},
+    {"ordered", skeletons::Skel::Ordered},
+    {"randomspawn", skeletons::Skel::RandomSpawn},
+};
+
 // Dispatch on the skeleton name; SearchType/Opts fixed at compile time as in
 // the paper, coordination chosen per run.
 template <typename Gen, typename SearchType, typename... Opts>
 auto searchWith(const std::string& skeleton, const Params& p,
                 const typename Gen::Space& space,
                 const typename Gen::Node& root) {
-  if (skeleton == "seq") {
-    if (p.transport == TransportKind::Tcp) {
+  for (const auto& [name, skel] : kSkeletonNames) {
+    if (skeleton != name) continue;
+    if (skel == skeletons::Skel::Seq && p.transport == TransportKind::Tcp) {
       throw std::runtime_error(
           "--transport tcp needs a parallel skeleton; the sequential "
           "skeleton has no runtime to connect ranks");
     }
-    return skeletons::Sequential<Gen, SearchType, Opts...>::search(p, space,
-                                                                   root);
+    return skeletons::runSkeleton<Gen, SearchType, Opts...>(skel, p, space,
+                                                            root);
   }
-  if (skeleton == "depthbounded") {
-    return skeletons::DepthBounded<Gen, SearchType, Opts...>::search(p, space,
-                                                                     root);
+  std::string names;
+  for (const auto& entry : kSkeletonNames) {
+    if (!names.empty()) names += '|';
+    names += entry.name;
   }
-  if (skeleton == "stacksteal") {
-    return skeletons::StackStealing<Gen, SearchType, Opts...>::search(
-        p, space, root);
-  }
-  if (skeleton == "budget") {
-    return skeletons::Budget<Gen, SearchType, Opts...>::search(p, space,
-                                                               root);
-  }
-  if (skeleton == "ordered") {
-    return skeletons::Ordered<Gen, SearchType, Opts...>::search(p, space,
-                                                                root);
-  }
-  if (skeleton == "randomspawn") {
-    return skeletons::RandomSpawn<Gen, SearchType, Opts...>::search(p, space,
-                                                                    root);
-  }
-  throw std::runtime_error(
-      "unknown skeleton: " + skeleton +
-      " (expected seq|depthbounded|stacksteal|budget|ordered|randomspawn)");
+  throw std::runtime_error("unknown skeleton: " + skeleton + " (expected " +
+                           names + ")");
 }
 
 // Terminal handler for an example's main (used as a function-try-block

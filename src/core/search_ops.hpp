@@ -54,7 +54,7 @@ struct SearchOps {
   };
 
   // Visit one node: count it, apply the search type's processing rule, then
-  // the pruning rule. Every node is visited exactly once.
+  // the pruning rule (counting a prune). Every node is visited exactly once.
   static VisitResult visit(Reg& reg, WorkerAcc& acc, const Space& space,
                            const Node& node) {
     VisitResult res;
@@ -97,6 +97,7 @@ struct SearchOps {
         if constexpr (Bound::hasBound) {
           if (Bound::bound(space, node) < reg.decisionTarget) {
             res.action = Action::Prune;
+            ++acc.prunes;
           }
         }
       } else {
@@ -107,6 +108,7 @@ struct SearchOps {
           if (Bound::bound(space, node) <=
               reg.localBound.load(std::memory_order_relaxed)) {
             res.action = Action::Prune;
+            ++acc.prunes;
           }
         }
       }

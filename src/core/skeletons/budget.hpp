@@ -6,8 +6,8 @@
 // lowest depth of their generator stack into the workpool and reset the
 // counter. Periodic, asynchronous load balancing in the style of mts.
 
+#include "core/skeletons/dfs.hpp"
 #include "core/skeletons/engine.hpp"
-#include "core/skeletons/subtree_search.hpp"
 
 namespace yewpar::skeletons {
 
@@ -15,15 +15,14 @@ namespace budgetdetail {
 
 template <typename Gen>
 struct Coord {
+  // The rule lives in dfs.hpp's loop; this hook set only switches it on.
+  struct Hooks {
+    static constexpr bool kBudget = true;
+  };
+
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
-    detail::subtreeSearch<false, Gen>(ctx, ws, task.node, task.depth,
-                                      ctx.params().backtrackBudget);
+    detail::runTask<Gen>(ctx, ws, Hooks{}, task);
   }
 
   template <typename Ctx, typename WS>
@@ -35,17 +34,7 @@ struct Coord {
 }  // namespace budgetdetail
 
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
-struct Budget {
-  using Space = typename Gen::Space;
-  using Node = typename Gen::Node;
-  using Eng =
-      detail::Engine<budgetdetail::Coord<Gen>, Gen, SearchType, Opts...>;
-  using Out = typename Eng::Out;
-
-  static Out search(const Params& params, const Space& space,
-                    const Node& root) {
-    return Eng::run(params, space, root);
-  }
-};
+using Budget =
+    detail::Engine<budgetdetail::Coord<Gen>, Gen, SearchType, Opts...>;
 
 }  // namespace yewpar::skeletons

@@ -6,8 +6,8 @@
 // run the plain sequential loop. Distribution across localities happens by
 // idle localities stealing from remote workpools.
 
+#include "core/skeletons/dfs.hpp"
 #include "core/skeletons/engine.hpp"
-#include "core/skeletons/subtree_search.hpp"
 
 namespace yewpar::skeletons {
 
@@ -17,24 +17,19 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
-
-    if (task.depth < ctx.params().dcutoff) {
-      // (spawn-depth): all children become tasks, queued in traversal order
-      // so the order-preserving pool hands them out heuristic-first.
-      Gen gen(ctx.space(), task.node);
-      while (gen.hasNext()) {
-        if (ctx.stopped()) return;
-        ctx.spawn(typename Ctx::Task{gen.next(), task.depth + 1});
+    // (spawn-depth): each child at depth <= dcutoff becomes a task, spawned
+    // unvisited in traversal order so the order-preserving pool hands them
+    // out heuristic-first.
+    struct Hooks {
+      Ctx& ctx;
+      int dcutoff;
+      bool before(typename Ctx::Node& child, int depth) {
+        if (depth > dcutoff) return false;
+        ctx.spawn(typename Ctx::Task{std::move(child), depth});
+        return true;
       }
-    } else {
-      detail::subtreeSearch<false, Gen>(ctx, ws, task.node, task.depth,
-                                        /*budget=*/0);
-    }
+    };
+    detail::runTask<Gen>(ctx, ws, Hooks{ctx, ctx.params().dcutoff}, task);
   }
 
   template <typename Ctx, typename WS>
@@ -46,17 +41,7 @@ struct Coord {
 }  // namespace dbdetail
 
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
-struct DepthBounded {
-  using Space = typename Gen::Space;
-  using Node = typename Gen::Node;
-  using Eng =
-      detail::Engine<dbdetail::Coord<Gen>, Gen, SearchType, Opts...>;
-  using Out = typename Eng::Out;
-
-  static Out search(const Params& params, const Space& space,
-                    const Node& root) {
-    return Eng::run(params, space, root);
-  }
-};
+using DepthBounded =
+    detail::Engine<dbdetail::Coord<Gen>, Gen, SearchType, Opts...>;
 
 }  // namespace yewpar::skeletons

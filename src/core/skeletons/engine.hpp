@@ -4,9 +4,9 @@
 //
 // The engine instantiates, per locality: a manager thread (message handling),
 // a team of worker threads, an order-preserving workpool, a knowledge
-// registry, and a termination detector. The three parallel coordinations
-// (Depth-Bounded, Stack-Stealing, Budget) plug their task-execution policy
-// into the shared worker loop.
+// registry, and a termination detector. Each parallel coordination plugs a
+// hook set on dfs.hpp's one search loop, and an idle policy, into the shared
+// worker loop.
 //
 // Distributed-memory discipline: a locality touches another locality's state
 // only through serialized messages (tasks, bounds, steals, termination
@@ -202,14 +202,17 @@ class EngineCtx {
     }
   }
 
-  // Prune counting lives with the worker-local counters in the callers.
-  void applyVisit(const VisitResult& res) {
+  // Visit one node (SearchOps::visit), then broadcast an improved bound and
+  // raise stop on a short-circuit.
+  Action visit(typename Ops::WorkerAcc& acc, const Node& node) {
+    const auto res = Ops::visit(reg_, acc, space_, node);
     if (res.broadcastBound) {
       rt::trace::record(rt::trace::Ev::kIncumbent, id(),
                         static_cast<std::uint64_t>(*res.broadcastBound));
       broadcastBound(*res.broadcastBound);
     }
     if (res.action == Action::Stop) raiseStop();
+    return res.action;
   }
 
   bool stopped() const { return reg_.stop.load(std::memory_order_relaxed); }
@@ -433,10 +436,13 @@ class EngineCtx {
   rt::telemetry::Tick tick_;
 };
 
-// Generic engine: Coordination supplies executeTask() and onIdle().
+// Generic engine, and every parallel skeleton's public type: Coordination
+// supplies executeTask() (one runTask call with its hook set, see dfs.hpp),
+// onIdle(), and optionally prepare(Params&).
 template <typename Coordination, typename Gen, typename SearchType,
           typename... Opts>
 struct Engine {
+  using Eng = Engine;
   using Space = typename Gen::Space;
   using Node = typename Gen::Node;
   using Bound = BoundOf<Opts...>;
@@ -446,11 +452,15 @@ struct Engine {
   using GatherMsg = typename Ctx::GatherMsg;
   using Out = Outcome<Node, typename Ops::EnumValue>;
 
-  // Builds the transport and runs the ranks this process hosts: one rank of
-  // a TCP mesh, or every simulated rank over one shared InProcFabric. Each
-  // rank runs runRank() over its own ShapedTransport, so both transports
-  // share one lifecycle and differ only in the wire under the shaper.
-  static Out run(const Params& params, const Space& space, const Node& root) {
+  // Lets the coordination adjust the parameters, builds the transport and
+  // runs the ranks this process hosts: one rank of a TCP mesh, or every
+  // simulated rank over one shared InProcFabric. Each rank runs runRank()
+  // over its own ShapedTransport, so both transports share one lifecycle and
+  // differ only in the wire under the shaper.
+  static Out search(Params params, const Space& space, const Node& root) {
+    if constexpr (requires { Coordination::prepare(params); }) {
+      Coordination::prepare(params);
+    }
     // Zero workers would finish with an empty result and zero simulated
     // localities would index an empty fabric; neither is a search.
     if (params.workersPerLocality < 1) {

@@ -19,8 +19,8 @@
 // tests/test_ordered.cpp pins every configuration to the Sequential
 // skeleton's results.
 
+#include "core/skeletons/dfs.hpp"
 #include "core/skeletons/engine.hpp"
-#include "core/skeletons/subtree_search.hpp"
 
 namespace yewpar::skeletons {
 
@@ -30,25 +30,27 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-
-    if (task.depth == 0) {
-      // Root task: visit the root, then expand the top of the tree to the
-      // cutoff depth-first in traversal order, spawning each frontier node
-      // with an ascending sequence number.
-      auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-      ctx.applyVisit(res);
-      if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-      if (res.action != detail::Action::Continue) return;
+    using Task = typename Ctx::Task;
+    // The root task searches the prefix above dcutoff in traversal order,
+    // visiting its nodes inline; each node at the cutoff becomes a task with
+    // the next sequence number. A frontier task's root was visited in the
+    // prefix, and its subtree lies below the cutoff, where no hook fires.
+    struct Hooks {
+      Ctx& ctx;
+      int dcutoff;
       std::uint64_t seq = 0;
-      expandPrefix(ctx, ws, task.node, /*depth=*/0, seq);
-      return;
-    }
-
-    // Frontier task: the node was already visited during prefix expansion;
-    // search its subtree sequentially.
-    detail::subtreeSearch<false, Gen>(ctx, ws, task.node, task.depth,
-                                      /*budget=*/0);
+      static bool visited(const Task& t) { return t.depth > 0; }
+      bool after(typename Ctx::Node& child, int depth) {
+        if (depth != dcutoff) return false;
+        // Deliberately unattributed (worker -1): the whole frontier is
+        // spawned by the one worker running the root task, so hashing by
+        // pusher would pile every task into a single shard of a sharded
+        // pool. Round-robin placement spreads the frontier instead.
+        ctx.spawn(Task{std::move(child), depth, seq++});
+        return true;
+      }
+    };
+    detail::runTask<Gen>(ctx, ws, Hooks{ctx, ctx.params().dcutoff}, task);
   }
 
   template <typename Ctx, typename WS>
@@ -56,56 +58,17 @@ struct Coord {
     ctx.requestRemotePoolSteal(ws.rng);
   }
 
- private:
-  // DFS over the prefix above dcutoff, in traversal order. Nodes above the
-  // cutoff are visited inline; nodes at the cutoff become numbered tasks.
-  template <typename Ctx, typename WS>
-  static void expandPrefix(Ctx& ctx, WS& ws,
-                           const typename Ctx::Node& node, int depth,
-                           std::uint64_t& seq) {
-    using Ops = typename Ctx::Ops;
-    if (ctx.stopped()) return;
-    Gen gen(ctx.space(), node);
-    while (gen.hasNext()) {
-      if (ctx.stopped()) return;
-      typename Ctx::Node child = gen.next();
-      auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), child);
-      ctx.applyVisit(res);
-      if (res.action == detail::Action::Stop) return;
-      if (res.action == detail::Action::Prune) {
-        ++ws.acc.prunes;
-        if constexpr (Ctx::kPruneLevel) return;
-        continue;
-      }
-      if (depth + 1 < ctx.params().dcutoff) {
-        expandPrefix(ctx, ws, child, depth + 1, seq);
-      } else {
-        typename Ctx::Task t{std::move(child), depth + 1, seq++};
-        // Deliberately unattributed (worker -1): the whole frontier is
-        // spawned by the one worker running the root task, so hashing by
-        // pusher would pile every task into a single shard of a sharded
-        // pool. Round-robin placement spreads the frontier instead.
-        ctx.spawn(std::move(t));
-      }
-    }
+  // The prefix needs at least one level to number a frontier.
+  static void prepare(Params& params) {
+    params.pool = rt::PoolPolicy::PrioritySharded;
+    if (params.dcutoff < 1) params.dcutoff = 1;
   }
 };
 
 }  // namespace ordereddetail
 
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
-struct Ordered {
-  using Space = typename Gen::Space;
-  using Node = typename Gen::Node;
-  using Eng =
-      detail::Engine<ordereddetail::Coord<Gen>, Gen, SearchType, Opts...>;
-  using Out = typename Eng::Out;
-
-  static Out search(Params params, const Space& space, const Node& root) {
-    params.pool = rt::PoolPolicy::PrioritySharded;
-    if (params.dcutoff < 1) params.dcutoff = 1;
-    return Eng::run(params, space, root);
-  }
-};
+using Ordered =
+    detail::Engine<ordereddetail::Coord<Gen>, Gen, SearchType, Opts...>;
 
 }  // namespace yewpar::skeletons

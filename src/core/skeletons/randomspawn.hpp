@@ -9,6 +9,7 @@
 // (backtrack budgets), at the cost of ignoring the subtree-size heuristic
 // that Depth-Bounded and Stack-Stealing exploit.
 
+#include "core/skeletons/dfs.hpp"
 #include "core/skeletons/engine.hpp"
 
 namespace yewpar::skeletons {
@@ -22,48 +23,18 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
-
-    std::vector<Gen> genStack;
-    genStack.reserve(64);
-    genStack.emplace_back(ctx.space(), task.node);
-    while (!genStack.empty()) {
-      if (ctx.stopped()) return;
-      Gen& gen = genStack.back();
-      if (!gen.hasNext()) {
-        genStack.pop_back();
-        ++ws.acc.backtracks;
-        continue;
-      }
-      typename Ctx::Node child = gen.next();
-
-      // Random task creation: hive the child off unvisited; the executing
-      // worker visits it, exactly like every other spawn rule.
-      if (ws.rng.below(kSpawnOneIn) == 0) {
-        const auto depth =
-            task.depth + static_cast<std::int32_t>(genStack.size());
+    // Random task creation: hive the child off unvisited; the executing
+    // worker visits it, exactly like every other spawn rule.
+    struct Hooks {
+      Ctx& ctx;
+      Rng& rng;
+      bool before(typename Ctx::Node& child, int depth) {
+        if (rng.below(kSpawnOneIn) != 0) return false;
         ctx.spawn(typename Ctx::Task{std::move(child), depth});
-        continue;
+        return true;
       }
-
-      auto childRes = Ops::visit(ctx.reg(), ws.acc, ctx.space(), child);
-      ctx.applyVisit(childRes);
-      if (childRes.action == detail::Action::Continue) {
-        genStack.emplace_back(ctx.space(), child);
-      } else if (childRes.action == detail::Action::Stop) {
-        return;
-      } else {
-        ++ws.acc.prunes;
-        if constexpr (Ctx::kPruneLevel) {
-          genStack.pop_back();
-          ++ws.acc.backtracks;
-        }
-      }
-    }
+    };
+    detail::runTask<Gen>(ctx, ws, Hooks{ctx, ws.rng}, task);
   }
 
   template <typename Ctx, typename WS>
@@ -75,17 +46,7 @@ struct Coord {
 }  // namespace rsdetail
 
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
-struct RandomSpawn {
-  using Space = typename Gen::Space;
-  using Node = typename Gen::Node;
-  using Eng =
-      detail::Engine<rsdetail::Coord<Gen>, Gen, SearchType, Opts...>;
-  using Out = typename Eng::Out;
-
-  static Out search(const Params& params, const Space& space,
-                    const Node& root) {
-    return Eng::run(params, space, root);
-  }
-};
+using RandomSpawn =
+    detail::Engine<rsdetail::Coord<Gen>, Gen, SearchType, Opts...>;
 
 }  // namespace yewpar::skeletons

@@ -1,17 +1,17 @@
 #pragma once
 
 // Sequential search coordination (paper Listing 2): single-threaded
-// depth-first backtracking over a stack of Lazy Node Generators, with no
-// runtime underneath. This is the baseline every parallel speedup in the
-// evaluation is measured against, so it carries no locks, channels or pools,
-// only the registry shared with the other skeletons (uncontended here).
-
-#include <vector>
+// depth-first backtracking over a stack of Lazy Node Generators - dfs.hpp's
+// loop with no hooks - with no runtime underneath. This is the baseline every
+// parallel speedup in the evaluation is measured against, so it carries no
+// locks, channels or pools, only the registry shared with the other
+// skeletons (uncontended here).
 
 #include "core/nodegen.hpp"
 #include "core/outcome.hpp"
 #include "core/params.hpp"
 #include "core/search_ops.hpp"
+#include "core/skeletons/dfs.hpp"
 #include "runtime/trace.hpp"
 #include "util/timer.hpp"
 
@@ -22,9 +22,22 @@ struct Sequential {
   using Space = typename Gen::Space;
   using Node = typename Gen::Node;
   using Bound = BoundOf<Opts...>;
-  static constexpr bool kPruneLevel = kPruneLevelOf<Opts...>;
   using Ops = detail::SearchOps<Gen, SearchType, Bound>;
   using Out = Outcome<Node, typename Ops::EnumValue>;
+
+  // The loop's context with no runtime underneath: nothing else raises stop
+  // (a short-circuit ends the loop through its Stop action), and there is
+  // no bound to broadcast.
+  struct Ctx {
+    static constexpr bool kPruneLevel = kPruneLevelOf<Opts...>;
+    const Space& space_;
+    typename Ops::Reg reg{};
+    const Space& space() const { return space_; }
+    detail::Action visit(typename Ops::WorkerAcc& acc, const Node& node) {
+      return Ops::visit(reg, acc, space_, node).action;
+    }
+    static constexpr bool stopped() { return false; }
+  };
 
   static Out search(const Params& params, const Space& space,
                     const Node& root) {
@@ -35,55 +48,15 @@ struct Sequential {
     rt::trace::SessionScope traceScope(!params.traceFile.empty());
     rt::trace::nameThread("L0.seq");
     rt::trace::record(rt::trace::Ev::kTaskRunBegin, 0, 0, 0);
-    typename Ops::Reg reg;
+    Ctx ctx{space};
+    auto& reg = ctx.reg;
     reg.decisionTarget = params.decisionTarget;
     reg.maxNodes = params.maxNodes;
     typename Ops::WorkerAcc acc;
-
-    bool stopped = false;
-
-    // processNode(root) then push its generator (Listing 2 lines 3-4).
-    auto rootRes = Ops::visit(reg, acc, space, root);
-    if (rootRes.action == detail::Action::Stop) {
-      stopped = true;
+    // processNode(root), then search below it (Listing 2).
+    if (ctx.visit(acc, root) == detail::Action::Continue) {
+      detail::dfs<Gen>(ctx, acc, detail::NoHooks{}, root, 0);
     }
-
-    std::vector<Gen> genStack;
-    genStack.reserve(64);
-    if (rootRes.action == detail::Action::Continue) {
-      genStack.emplace_back(space, root);
-    } else if (rootRes.action == detail::Action::Prune) {
-      ++acc.prunes;
-    }
-
-    while (!stopped && !genStack.empty()) {
-      Gen& gen = genStack.back();
-      if (gen.hasNext()) {
-        Node child = gen.next();
-        auto res = Ops::visit(reg, acc, space, child);
-        switch (res.action) {
-          case detail::Action::Continue:
-            genStack.emplace_back(space, child);
-            break;
-          case detail::Action::Prune:
-            ++acc.prunes;
-            if constexpr (kPruneLevel) {
-              // Children arrive in non-increasing bound order: the failed
-              // check rules out every unexplored sibling too.
-              genStack.pop_back();
-              ++acc.backtracks;
-            }
-            break;
-          case detail::Action::Stop:
-            stopped = true;
-            break;
-        }
-      } else {
-        genStack.pop_back();  // Backtrack
-        ++acc.backtracks;
-      }
-    }
-
     Ops::mergeWorkerAcc(reg, acc);
     rt::trace::record(rt::trace::Ev::kTaskRunEnd, 0);
     if (!params.traceFile.empty()) {

@@ -6,12 +6,12 @@
 // and reply with unexplored subtrees split off the lowest depths of their
 // generator stack - how many is Params::chunk's call (one subtree, a fixed/
 // half/adaptive chunk spilling across stack levels, or all lowest-depth
-// siblings; see splitLowest in subtree_search.hpp). Victim selection is
-// random; remote localities are only tried when no local worker is active,
-// matching Section 4.2's description.
+// siblings; see splitLowest in dfs.hpp). Victim selection is random; remote
+// localities are only tried when no local worker is active, matching
+// Section 4.2's description.
 
+#include "core/skeletons/dfs.hpp"
 #include "core/skeletons/engine.hpp"
-#include "core/skeletons/subtree_search.hpp"
 
 namespace yewpar::skeletons {
 
@@ -23,13 +23,14 @@ template <typename Gen>
 struct Coord {
   template <typename Ctx, typename WS>
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
-    using Ops = typename Ctx::Ops;
-    auto res = Ops::visit(ctx.reg(), ws.acc, ctx.space(), task.node);
-    ctx.applyVisit(res);
-    if (res.action == detail::Action::Prune) ++ws.acc.prunes;
-    if (res.action != detail::Action::Continue) return;
-    detail::subtreeSearch<true, Gen>(ctx, ws, task.node, task.depth,
-                                     /*budget=*/0);
+    struct Hooks {
+      Ctx& ctx;
+      WS& ws;
+      void step(std::vector<Gen>& genStack, int rootDepth) {
+        detail::pollStealRequests(ctx, ws, genStack, rootDepth);
+      }
+    };
+    detail::runTask<Gen>(ctx, ws, Hooks{ctx, ws}, task);
   }
 
   template <typename Ctx, typename WS>
@@ -77,17 +78,7 @@ struct Coord {
 }  // namespace ssdetail
 
 template <NodeGenerator Gen, typename SearchType, typename... Opts>
-struct StackStealing {
-  using Space = typename Gen::Space;
-  using Node = typename Gen::Node;
-  using Eng =
-      detail::Engine<ssdetail::Coord<Gen>, Gen, SearchType, Opts...>;
-  using Out = typename Eng::Out;
-
-  static Out search(const Params& params, const Space& space,
-                    const Node& root) {
-    return Eng::run(params, space, root);
-  }
-};
+using StackStealing =
+    detail::Engine<ssdetail::Coord<Gen>, Gen, SearchType, Opts...>;
 
 }  // namespace yewpar::skeletons

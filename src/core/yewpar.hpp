@@ -25,5 +25,6 @@
 #include "core/skeletons/depthbounded.hpp"
 #include "core/skeletons/ordered.hpp"
 #include "core/skeletons/randomspawn.hpp"
+#include "core/skeletons/select.hpp"
 #include "core/skeletons/sequential.hpp"
 #include "core/skeletons/stackstealing.hpp"

@@ -1,15 +1,15 @@
 #pragma once
 
-// Test helper: run any of the four coordinations selected at runtime, so
-// gtest parameterised suites can sweep over skeletons.
-
-#include <string>
+// Test helper: the six coordinations as gtest parameters, run through the
+// library's runtime switch (core/skeletons/select.hpp), so parameterised
+// suites can sweep over skeletons.
 
 #include "core/yewpar.hpp"
 
 namespace yewpar::testing {
 
-enum class Skel { Seq, DepthBounded, StackStealing, Budget, Ordered, RandomSpawn };
+using skeletons::runSkeleton;
+using skeletons::Skel;
 
 inline const char* skelName(Skel s) {
   switch (s) {
@@ -21,32 +21,6 @@ inline const char* skelName(Skel s) {
     case Skel::Budget: return "Budget";
   }
   return "?";
-}
-
-template <typename Gen, typename SearchType, typename... Opts>
-auto runSkeleton(Skel s, const Params& p, const typename Gen::Space& space,
-                 const typename Gen::Node& root) {
-  switch (s) {
-    case Skel::DepthBounded:
-      return skeletons::DepthBounded<Gen, SearchType, Opts...>::search(
-          p, space, root);
-    case Skel::StackStealing:
-      return skeletons::StackStealing<Gen, SearchType, Opts...>::search(
-          p, space, root);
-    case Skel::Budget:
-      return skeletons::Budget<Gen, SearchType, Opts...>::search(p, space,
-                                                                 root);
-    case Skel::Ordered:
-      return skeletons::Ordered<Gen, SearchType, Opts...>::search(p, space,
-                                                                  root);
-    case Skel::RandomSpawn:
-      return skeletons::RandomSpawn<Gen, SearchType, Opts...>::search(
-          p, space, root);
-    case Skel::Seq:
-    default:
-      return skeletons::Sequential<Gen, SearchType, Opts...>::search(p, space,
-                                                                     root);
-  }
 }
 
 // All parallel skeletons (sequential is usually the oracle).

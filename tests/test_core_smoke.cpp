@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "../examples/common.hpp"
@@ -186,6 +187,53 @@ INSTANTIATE_TEST_SUITE_P(AllSkeletons, StopSemantics,
                          [](const auto& paramInfo) {
                            return skelName(paramInfo.param);
                          });
+
+// Every skeleton counts the same search the same way: a node per visit, and
+// a backtrack per generator popped. On an unpruned complete tree every node
+// is visited once and pushes one generator, so backtracks equal nodes.
+class SearchCounts
+    : public ::testing::TestWithParam<std::tuple<Skel, int>> {};
+
+TEST_P(SearchCounts, BacktracksEqualNodesOnACompleteTree) {
+  const auto [skel, nLoc] = GetParam();
+  SynthSpace space{3, 5};
+  const auto out = runSkeleton<SynthGen, Enum>(skel, parParams(nLoc, 2),
+                                               space, SynthNode{});
+  const auto size = completeTreeSize(3, 5);
+  EXPECT_EQ(out.sum, size);
+  EXPECT_EQ(out.metrics.nodesProcessed, size);
+  EXPECT_EQ(out.metrics.backtracks, size);
+  EXPECT_EQ(out.metrics.prunes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSkeletons, SearchCounts,
+    ::testing::Combine(::testing::ValuesIn(kAllSkels), ::testing::Values(1, 2)),
+    [](const auto& paramInfo) {
+      return std::string(skelName(std::get<0>(paramInfo.param))) + "_" +
+             std::to_string(std::get<1>(paramInfo.param)) + "loc";
+    });
+
+// The result gates cannot see a spawn rule firing at the wrong depth: every
+// placement counts the same tree. The tasks each rule spawns on the complete
+// 3-ary depth-5 tree pin where it fires.
+TEST(SpawnRules, FireAtTheirDepths) {
+  SynthSpace space{3, 5};
+  const auto tasks = [&space](Skel skel, const Params& p) {
+    return runSkeleton<SynthGen, Enum>(skel, p, space, SynthNode{})
+        .metrics.tasksSpawned;
+  };
+  for (int nLoc : {1, 2}) {
+    Params p = parParams(nLoc, 2);  // dcutoff 2
+    // The root plus every node at depths 1-2.
+    EXPECT_EQ(tasks(Skel::DepthBounded, p), 13u) << nLoc << " localities";
+    // The root plus the depth-2 frontier.
+    EXPECT_EQ(tasks(Skel::Ordered, p), 10u) << nLoc << " localities";
+    // A budget never spent offloads nothing: the root only.
+    p.backtrackBudget = 1'000'000'000;
+    EXPECT_EQ(tasks(Skel::Budget, p), 1u) << nLoc << " localities";
+  }
+}
 
 namespace {
 // The std::invalid_argument message `run` throws, or "" if it returns.
