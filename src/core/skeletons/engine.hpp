@@ -148,15 +148,7 @@ class EngineCtx {
     m = reg_.metrics.snapshot();
     m.poolLockContentions = pool_->lockContentions();
     m.healthWarnings = health_.totalFirings();
-    m.networkMessages = net.messagesSent();
-    m.networkBytes = net.bytesSent();
-    m.networkFrames = net.framesSent();
-    m.networkBatched = net.batchedMessages();
-    m.networkImmediate = net.immediateMessages();
-    m.networkSpills = net.spilledMessages();
-    m.networkHeartbeats = net.heartbeatsSent();
-    m.linkQueueHighWater = net.queueHighWater();
-    m.netLatencyHist = net.latencyHistogram();
+    m += net.traffic();
     s.profile = profile_.snapshot(id(), teamWallNanos);
     return s;
   }

@@ -83,13 +83,23 @@ void respond(int fd, const char* status, const char* contentType,
 void appendf(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
+// Measures the line first, then formats it in place, so a line of any
+// length (a long rule name) lands whole.
 void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
   va_list ap;
   va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
+  va_list measure;
+  va_copy(measure, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n));
+    // n + 1: vsnprintf's closing NUL overwrites the string's own.
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   ap);
+  }
   va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
 }
 
 // One `name{rank="r"[,extra]} value` exposition line.

@@ -180,14 +180,13 @@ std::uint64_t InProcFabric::linkBacklogNow(int src, int dst) const {
   return l.queue.size();
 }
 
-std::array<std::uint64_t, kNetLatencyBuckets> InProcFabric::latencyFrom(
-    int src) const {
-  std::array<std::uint64_t, kNetLatencyBuckets> out{};
+MetricsSnapshot InProcFabric::trafficFrom(int src) const {
+  MetricsSnapshot out;
   const auto [lo, hi] = linksFrom(src);
   for (std::size_t i = lo; i < hi; ++i) {
     LockGuard lock(links_[i]->mtx);
-    for (std::size_t b = 0; b < out.size(); ++b) {
-      out[b] += links_[i]->latency[b];
+    for (std::size_t b = 0; b < out.netLatencyHist.size(); ++b) {
+      out.netLatencyHist[b] += links_[i]->latency[b];
     }
   }
   return out;

@@ -17,13 +17,16 @@
 //     reproducible). Delivery per link stays FIFO, like a TCP stream: each
 //     message's delivery time is clamped to be no earlier than its link
 //     predecessor's. The fabric does no batching and no back-pressure and
-//     keeps no traffic counters - that is all ShapedTransport's job. It
-//     does carry rank-failure notification: a simulated rank that dies is
-//     declared dead here and every other rank's callback fires.
+//     counts no messages, bytes or frames - that is all ShapedTransport's
+//     job. Its traffic() carries only what the shaper cannot see: the
+//     histogram of the delays it modelled. It also carries rank-failure
+//     notification: a simulated rank that dies is declared dead here and
+//     every other rank's callback fires.
 //   * InProcPort - one rank's endpoint on a shared fabric. The engine runs
 //     each simulated rank over its own ShapedTransport wrapping its own
 //     port, exactly as a TCP rank wraps its TcpTransport, so every rank
-//     counts only its own traffic.
+//     counts only its own traffic, and the port reports only the delays
+//     modelled on its rank's outbound links.
 //   * InProcTransport - a one-object facade for tests and benches: an
 //     InProcFabric wrapped in a single ShapedTransport serving every
 //     locality (send-buffer batch flush, bounded in-flight queues with
@@ -85,12 +88,6 @@ class InProcFabric : public Transport {
   std::optional<Message> recvWait(int loc,
                                   std::chrono::microseconds timeout) override;
 
-  // Traffic accounting lives in the ShapedTransport wrapper; the bare
-  // fabric reports nothing.
-  std::uint64_t messagesSent() const override { return 0; }
-  std::uint64_t bytesSent() const override { return 0; }
-  std::uint64_t framesSent() const override { return 0; }
-
   // Instantaneous depths for telemetry and for the shaper's queue cap:
   // messages whose delay has not yet matured (plus undelivered matured
   // ones) count as in flight on their link.
@@ -102,22 +99,20 @@ class InProcFabric : public Transport {
   }
   std::uint64_t linkBacklogNow(int src, int dst) const override;
 
-  // Modelled-delay histogram summed over links: bucket i counts messages
-  // whose sampled delay plus FIFO clamp fell in [2^(i-1), 2^i)
-  // microseconds, bucket 0 being < 1us (rt::netLatencyBucketFor). The
-  // shaper adds its congestion-wait samples on top.
-  std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
-      const override {
-    return latencyFrom(kAllRanks);
-  }
+  // The modelled-delay histogram summed over links (netLatencyHist; every
+  // other field is zero): bucket i counts messages whose sampled delay plus
+  // FIFO clamp fell in [2^(i-1), 2^i) microseconds, bucket 0 being < 1us
+  // (rt::netLatencyBucketFor). The shaper adds its spill-wait samples on
+  // top.
+  MetricsSnapshot traffic() const override { return trafficFrom(kAllRanks); }
 
-  // The same three readings restricted to the links leaving `src`
+  // The queue depths and traffic() restricted to the links leaving `src`
   // (kAllRanks = every link): a rank's share of the fabric, so summing
   // the per-rank readings over all ranks counts each link once.
   static constexpr int kAllRanks = -1;
   std::uint64_t queuedFrom(int src) const;
   std::uint64_t maxLinkQueueFrom(int src) const;
-  std::array<std::uint64_t, kNetLatencyBuckets> latencyFrom(int src) const;
+  MetricsSnapshot trafficFrom(int src) const;
 
   // ---- rank failure ----------------------------------------------------
   // Register `rank`'s peer-failure callback (an empty handler unregisters).
@@ -207,7 +202,8 @@ class InProcFabric : public Transport {
 // One rank's endpoint on a shared InProcFabric: sends and receives for
 // `rank` only, reports only the links leaving `rank`, and registers the
 // rank's peer-failure callback with the fabric. Messages and frames are
-// counted by the ShapedTransport wrapped around the port, as on TCP.
+// counted by the ShapedTransport wrapped around the port, as on TCP; the
+// port's traffic() is its rank's share of the delay histogram.
 class InProcPort : public Transport {
  public:
   InProcPort(InProcFabric& fabric, int rank)
@@ -230,10 +226,6 @@ class InProcPort : public Transport {
     return fabric_.recvWait(loc, timeout);
   }
 
-  std::uint64_t messagesSent() const override { return 0; }
-  std::uint64_t bytesSent() const override { return 0; }
-  std::uint64_t framesSent() const override { return 0; }
-
   std::uint64_t queuedMessagesNow() const override {
     return fabric_.queuedFrom(rank_);
   }
@@ -243,9 +235,8 @@ class InProcPort : public Transport {
   std::uint64_t linkBacklogNow(int src, int dst) const override {
     return fabric_.linkBacklogNow(src, dst);
   }
-  std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
-      const override {
-    return fabric_.latencyFrom(rank_);
+  MetricsSnapshot traffic() const override {
+    return fabric_.trafficFrom(rank_);
   }
 
   void onPeerFailure(PeerFailureHandler handler) override {
@@ -268,7 +259,8 @@ struct InProcFabricOwner {
 
 // A whole shaped fabric as one Transport serving every locality (tests,
 // benches): a ShapedTransport - batching, back-pressure, counters and the
-// per-link view, see shaping.hpp - over a fabric of its own.
+// per-link view, see shaping.hpp - over a fabric of its own. Its traffic()
+// is the shaper's: every link's counters plus the fabric's delay histogram.
 class InProcTransport : private InProcFabricOwner, public ShapedTransport {
  public:
   explicit InProcTransport(int nLocalities, NetConfig cfg = NetConfig{})

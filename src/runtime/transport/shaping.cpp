@@ -424,46 +424,25 @@ std::optional<Message> ShapedTransport::recvWait(
 
 // ---- accounting ----------------------------------------------------------
 
-std::uint64_t ShapedTransport::sumLinks(
-    std::atomic<std::uint64_t> Link::*counter) const {
-  std::uint64_t total = 0;
-  for (const auto& l : links_) {
-    total += ((*l).*counter).load(std::memory_order_relaxed);
-  }
-  return total;
+MetricsSnapshot ShapedTransport::traffic() const {
+  MetricsSnapshot s = inner_.traffic();
+  for (const auto& l : links_) s += linkStats(l->src, l->dst);
+  return s;
 }
 
-std::uint64_t ShapedTransport::messagesSent() const {
-  return sumLinks(&Link::messages);
-}
-
-std::uint64_t ShapedTransport::bytesSent() const {
-  return sumLinks(&Link::bytes);
-}
-
-std::uint64_t ShapedTransport::framesSent() const {
-  return sumLinks(&Link::frames);
-}
-
-std::uint64_t ShapedTransport::batchedMessages() const {
-  return sumLinks(&Link::batched);
-}
-
-std::uint64_t ShapedTransport::immediateMessages() const {
-  return sumLinks(&Link::immediate);
-}
-
-std::uint64_t ShapedTransport::spilledMessages() const {
-  return sumLinks(&Link::spilled);
-}
-
-std::size_t ShapedTransport::queueHighWater() const {
-  std::size_t hw = 0;
-  for (const auto& l : links_) {
-    LockGuard lock(l->mtx);
-    hw = std::max(hw, l->queueHighWater);
-  }
-  return hw;
+MetricsSnapshot ShapedTransport::linkStats(int src, int dst) const {
+  const Link& l = link(src, dst);
+  MetricsSnapshot s;
+  s.networkMessages = l.messages.load(std::memory_order_relaxed);
+  s.networkBytes = l.bytes.load(std::memory_order_relaxed);
+  s.networkFrames = l.frames.load(std::memory_order_relaxed);
+  s.networkBatched = l.batched.load(std::memory_order_relaxed);
+  s.networkImmediate = l.immediate.load(std::memory_order_relaxed);
+  s.networkSpills = l.spilled.load(std::memory_order_relaxed);
+  LockGuard lock(l.mtx);
+  s.linkQueueHighWater = l.queueHighWater;
+  s.netLatencyHist = l.latency;
+  return s;
 }
 
 std::uint64_t ShapedTransport::queuedMessagesNow() const {
@@ -494,36 +473,6 @@ std::uint64_t ShapedTransport::linkBacklogNow(int src, int dst) const {
   const Link& l = link(src, dst);
   LockGuard lock(l.mtx);
   return l.buffer.size() + l.spill.size() + inner_.linkBacklogNow(src, dst);
-}
-
-std::array<std::uint64_t, kNetLatencyBuckets>
-ShapedTransport::latencyHistogram() const {
-  auto out = inner_.latencyHistogram();
-  for (const auto& l : links_) {
-    LockGuard lock(l->mtx);
-    for (int i = 0; i < kNetLatencyBuckets; ++i) {
-      out[static_cast<std::size_t>(i)] +=
-          l->latency[static_cast<std::size_t>(i)];
-    }
-  }
-  return out;
-}
-
-ShapedTransport::LinkStats ShapedTransport::linkStats(int src,
-                                                      int dst) const {
-  const Link& l = link(src, dst);
-  LinkStats s;
-  s.messages = l.messages.load(std::memory_order_relaxed);
-  s.bytes = l.bytes.load(std::memory_order_relaxed);
-  s.frames = l.frames.load(std::memory_order_relaxed);
-  s.batched = l.batched.load(std::memory_order_relaxed);
-  s.immediate = l.immediate.load(std::memory_order_relaxed);
-  s.spilled = l.spilled.load(std::memory_order_relaxed);
-  {
-    LockGuard lock(l.mtx);
-    s.queueHighWater = l.queueHighWater;
-  }
-  return s;
 }
 
 }  // namespace yewpar::rt

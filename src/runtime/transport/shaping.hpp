@@ -28,7 +28,8 @@
 //     histogram.
 //   counters - logical messages/bytes, wire frames, the batched/immediate
 //     split, spills, the per-link queue high-water mark, and the spill-wait
-//     latency histogram, all per-link and summed on demand.
+//     latency histogram, all per-link and merged on demand by traffic().
+//     No layer under the shaper counts any of them again.
 //
 // Self-sends (src == dst, e.g. the manager shutdown nudge) are loopback:
 // they bypass batching and the cap and go straight to the inner transport.
@@ -165,26 +166,26 @@ class ShapedTransport : public Transport {
   // Flush everything through, then tear down the inner transport.
   void shutdown() override;
 
-  // ---- accounting (all totals are sums over per-link atomics) ----------
+  // ---- accounting --------------------------------------------------------
 
-  // Logical messages / payload bytes handed to send() so far.
-  std::uint64_t messagesSent() const override;
-  std::uint64_t bytesSent() const override;
+  // The inner transport's traffic() (TCP heartbeats, the simulated
+  // fabric's modelled delays) merged with linkStats() of every link: the
+  // counters summed, the highest high-water mark kept, the histograms
+  // added.
+  MetricsSnapshot traffic() const override;
 
-  // Wire frames: one per batch flush. Batching amortises per-message
-  // overhead, so framesSent <= messagesSent, with equality at batchSize 1.
-  std::uint64_t framesSent() const override;
-
-  // Messages that travelled in a frame of >= 2 (batched) vs a frame of 1
-  // (immediate). batched + immediate == messages once all frames flushed.
-  std::uint64_t batchedMessages() const override;
-  std::uint64_t immediateMessages() const override;
-
-  // Messages shed to a spill list because their link was at queueCap.
-  std::uint64_t spilledMessages() const override;
-
-  // Highest in-flight depth observed on any single capped link.
-  std::size_t queueHighWater() const override;
+  // One (src, dst) link's counters as network rows:
+  //   networkMessages/Bytes  logical messages and payload bytes handed to
+  //                          send();
+  //   networkFrames          one per batch flush, so frames <= messages,
+  //                          with equality at batchSize 1;
+  //   networkBatched/Immediate  messages whose frame carried >= 2 / 1;
+  //                          they sum to messages once every buffer flushed;
+  //   networkSpills          messages shed to the spill list at queueCap;
+  //   linkQueueHighWater     the deepest in-flight handoff under the cap;
+  //   netLatencyHist         spill waits: how long back-pressured messages
+  //                          waited for a free slot.
+  MetricsSnapshot linkStats(int src, int dst) const;
 
   // Instantaneous depths for the telemetry Sample: messages buffered or
   // spilled here plus in flight in the inner transport.
@@ -192,33 +193,12 @@ class ShapedTransport : public Transport {
   std::uint64_t maxLinkQueueNow() const override;
   std::uint64_t linkBacklogNow(int src, int dst) const override;
 
-  // Latency histogram: the inner transport's own samples (the simulated
-  // fabric's modelled delays) plus this layer's spill-wait samples - the
-  // time back-pressured messages waited for a free slot.
-  std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
-      const override;
-
-  std::uint64_t heartbeatsSent() const override {
-    return inner_.heartbeatsSent();
-  }
   std::int64_t handshakeClockDeltaNanos(int peer) const override {
     return inner_.handshakeClockDeltaNanos(peer);
   }
   void onPeerFailure(PeerFailureHandler handler) override {
     inner_.onPeerFailure(std::move(handler));
   }
-
-  // Per-link view for tests and the network ablation.
-  struct LinkStats {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t frames = 0;
-    std::uint64_t batched = 0;
-    std::uint64_t immediate = 0;
-    std::uint64_t spilled = 0;
-    std::size_t queueHighWater = 0;
-  };
-  LinkStats linkStats(int src, int dst) const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -298,9 +278,6 @@ class ShapedTransport : public Transport {
   // Unpack a batched-frame container (queueing the tail for later
   // receives); pass anything else through.
   Message resolve(int loc, Message m);
-
-  // Sum one per-link atomic counter across all links.
-  std::uint64_t sumLinks(std::atomic<std::uint64_t> Link::*counter) const;
 
   Transport& inner_;
   int n_;

@@ -83,6 +83,24 @@ ReadResult readFull(int fd, std::uint8_t* p, std::size_t n,
   return ReadResult::Ok;
 }
 
+// Bad handshake magic: whatever connected is not a yewpar rank at all.
+// Distinct from the other mismatches because an ACCEPTING rank must shrug
+// a foreign connection off (close it, keep listening) - a port scanner or
+// misdirected client dialing the listen port must not abort an N-process
+// run - while a dialler hitting it, or a genuine peer with the wrong
+// version/world, is fatal.
+class ForeignConnection : public TransportError {
+ public:
+  ForeignConnection()
+      : TransportError(
+            "peer is not a yewpar transport endpoint (bad handshake "
+            "magic)") {}
+};
+
+// Cap one handshake attempt so a doomed connection is abandoned and
+// redialled long before the whole mesh deadline.
+constexpr auto kHandshakeAttempt = std::chrono::milliseconds(2000);
+
 }  // namespace
 
 std::pair<std::string, std::uint16_t> parseEndpoint(const std::string& spec) {
@@ -104,90 +122,6 @@ std::pair<std::string, std::uint16_t> parseEndpoint(const std::string& spec) {
   return {host, static_cast<std::uint16_t>(port)};
 }
 
-void sendHandshake(int fd, int rank, int world) {
-  wire::Handshake h;
-  h.rank = static_cast<std::uint32_t>(rank);
-  h.world = static_cast<std::uint32_t>(world);
-  h.sendNanos = trace::nowNanos();
-  const auto bytes = h.encode();
-  if (!writeFull(fd, bytes.data(), bytes.size())) {
-    throw TransportError("handshake write failed: " + errnoText());
-  }
-}
-
-namespace {
-
-// Bad handshake magic: whatever connected is not a yewpar rank at all.
-// Distinct from the other mismatches because an ACCEPTING rank must shrug
-// a foreign connection off (close it, keep listening) - a port scanner or
-// misdirected client dialing the listen port must not abort an N-process
-// run - while a dialler hitting it, or a genuine peer with the wrong
-// version/world, is fatal.
-class ForeignConnection : public TransportError {
- public:
-  ForeignConnection()
-      : TransportError(
-            "peer is not a yewpar transport endpoint (bad handshake "
-            "magic)") {}
-};
-
-// Shared fail-fast checks for both handshake entry points; throws
-// TransportError naming the mismatch.
-void validateHandshake(const wire::Handshake& h, int expectWorld) {
-  if (h.magic != wire::kMagic) {
-    throw ForeignConnection();
-  }
-  if (h.version != wire::protocolVersion()) {
-    char msg[128];
-    std::snprintf(msg, sizeof(msg),
-                  "wire protocol version mismatch: local %08x, peer %08x "
-                  "(mixed binaries?)",
-                  wire::protocolVersion(), h.version);
-    throw TransportError(msg);
-  }
-  if (static_cast<int>(h.world) != expectWorld) {
-    throw TransportError(
-        "peer expects a mesh of " + std::to_string(h.world) +
-        " localities, this process expects " + std::to_string(expectWorld) +
-        " (differing --peers lists?)");
-  }
-}
-
-}  // namespace
-
-wire::Handshake readHandshake(int fd, int expectWorld,
-                              std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  std::uint8_t buf[wire::Handshake::kBytes];
-  const auto r = readFull(fd, buf, sizeof(buf),
-                          [&] { return Clock::now() >= deadline; });
-  if (r != ReadResult::Ok) {
-    throw TransportError(
-        "peer closed or timed out during transport handshake");
-  }
-  const auto h = wire::Handshake::decode(buf);
-  validateHandshake(h, expectWorld);
-  return h;
-}
-
-namespace {
-
-// A completed handshake plus the local steady clock when the peer's half
-// arrived: sendNanos - recvNanos is this side's half of the clock-offset
-// estimate used to align traces from different processes at export.
-struct HandshakeResult {
-  wire::Handshake h;
-  std::int64_t clockDelta = 0;  // peer sendNanos - local recvNanos
-};
-
-// Full bidirectional handshake on a fresh connection: send ours, read
-// theirs (both sides send first - 24 bytes always fit the socket buffer,
-// so the symmetric order cannot deadlock). Returns nullopt when the
-// connection died or went silent mid-exchange - retryable, e.g. a connect
-// that landed in the backlog of a dying listener from a previous search's
-// mesh on the same port. Throws TransportError on magic/version/world
-// mismatch: those are permanent and must fail fast, not be retried into a
-// timeout.
 std::optional<HandshakeResult> tryExchangeHandshake(
     int fd, int rank, int world, std::chrono::milliseconds timeout) {
   wire::Handshake mine;
@@ -210,16 +144,23 @@ std::optional<HandshakeResult> tryExchangeHandshake(
   }
   const auto recvNanos = trace::nowNanos();
   const auto h = wire::Handshake::decode(buf);
-  validateHandshake(h, world);
+  if (h.version != wire::protocolVersion()) {
+    char msg[128];
+    std::snprintf(msg, sizeof(msg),
+                  "wire protocol version mismatch: local %08x, peer %08x "
+                  "(mixed binaries?)",
+                  wire::protocolVersion(), h.version);
+    throw TransportError(msg);
+  }
+  if (static_cast<int>(h.world) != world) {
+    throw TransportError(
+        "peer expects a mesh of " + std::to_string(h.world) +
+        " localities, this process expects " + std::to_string(world) +
+        " (differing --peers lists?)");
+  }
   return HandshakeResult{h, static_cast<std::int64_t>(h.sendNanos) -
                                 static_cast<std::int64_t>(recvNanos)};
 }
-
-// Cap one handshake attempt so a doomed connection is abandoned and
-// redialled long before the whole mesh deadline.
-constexpr auto kHandshakeAttempt = std::chrono::milliseconds(2000);
-
-}  // namespace
 
 TcpTransport::TcpTransport(TcpConfig cfg) : cfg_(std::move(cfg)) {
   world_ = static_cast<int>(cfg_.peers.size());
@@ -457,16 +398,12 @@ void TcpTransport::send(Message m) {
     throw TransportError("payload of " + std::to_string(m.payload.size()) +
                          " bytes exceeds the frame limit");
   }
-  const std::uint64_t payloadBytes = m.payload.size();
   if (m.dst == cfg_.rank) {
     // Loopback (e.g. the manager shutdown nudge), as on the simulated
     // backend: straight to the inbox, no framing. The logical kFrameSend
     // trace is the shaping layer's job; the physical receipt is ours.
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(payloadBytes, std::memory_order_relaxed);
-    frames_.fetch_add(1, std::memory_order_relaxed);
     trace::record(trace::Ev::kFrameRecv, cfg_.rank,
-                  static_cast<std::uint64_t>(m.src), payloadBytes);
+                  static_cast<std::uint64_t>(m.src), m.payload.size());
     pushInbox(std::move(m));
     return;
   }
@@ -475,13 +412,7 @@ void TcpTransport::send(Message m) {
     LockGuard lock(p.mtx);
     if (p.closing || p.dead) return;  // late message: dropped, like sim
     p.sendq.push_back(std::move(m));
-    if (p.sendq.size() > p.highWater) p.highWater = p.sendq.size();
   }
-  // Counted only once actually queued for the wire: a message dropped on a
-  // closing/dead link never shows up in the emitted-frame metrics.
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(payloadBytes, std::memory_order_relaxed);
-  frames_.fetch_add(1, std::memory_order_relaxed);
   p.cv.notify_one();
 }
 
@@ -748,13 +679,10 @@ void TcpTransport::shutdown() {
   }
 }
 
-std::size_t TcpTransport::queueHighWater() const {
-  std::size_t hw = 0;
-  for (const auto& p : peers_) {
-    LockGuard lock(p->mtx);
-    if (p->highWater > hw) hw = p->highWater;
-  }
-  return hw;
+MetricsSnapshot TcpTransport::traffic() const {
+  MetricsSnapshot s;
+  s.networkHeartbeats = heartbeats_.load(std::memory_order_relaxed);
+  return s;
 }
 
 std::uint64_t TcpTransport::queuedMessagesNow() const {

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,12 +83,25 @@ struct TcpConfig {
 // Split "host:port"; throws TransportError on malformed specs.
 std::pair<std::string, std::uint16_t> parseEndpoint(const std::string& spec);
 
-// Blocking handshake halves over a connected socket, exposed for tests.
-// readHandshake validates magic, protocol version and world size and throws
-// TransportError with a diagnosis on any mismatch or short read.
-void sendHandshake(int fd, int rank, int world);
-wire::Handshake readHandshake(int fd, int expectWorld,
-                              std::chrono::milliseconds timeout);
+// A completed handshake plus the local steady clock when the peer's half
+// arrived: sendNanos - recvNanos is this side's half of the clock-offset
+// estimate used to align traces from different processes at export.
+struct HandshakeResult {
+  wire::Handshake h;
+  std::int64_t clockDelta = 0;  // peer sendNanos - local recvNanos
+};
+
+// The full bidirectional handshake every mesh connection opens with, on
+// both the dialling and the accepting side: send ours, read theirs (both
+// sides send first - 24 bytes always fit the socket buffer, so the
+// symmetric order cannot deadlock). Returns nullopt when the connection
+// died or went silent mid-exchange - retryable, e.g. a connect that landed
+// in the backlog of a dying listener from a previous search's mesh on the
+// same port. Throws TransportError naming the mismatch on bad magic,
+// protocol version or world size: those are permanent and must fail fast,
+// not be retried into a timeout.
+std::optional<HandshakeResult> tryExchangeHandshake(
+    int fd, int rank, int world, std::chrono::milliseconds timeout);
 
 class TcpTransport : public Transport {
  public:
@@ -115,30 +129,10 @@ class TcpTransport : public Transport {
   // via their peerTimeout. Idempotent with (and excluded by) shutdown().
   void abandon();
 
-  std::uint64_t messagesSent() const override {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytesSent() const override {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  // The raw backend emits one wire frame per message handed to send(); the
-  // engine wraps it in a ShapedTransport, whose flushes arrive here as one
-  // tag::kBatchedFrame container message - still one frame on this count,
-  // which is exactly the point of batching. Heartbeats are never counted.
-  std::uint64_t framesSent() const override {
-    return frames_.load(std::memory_order_relaxed);
-  }
-  // Without a shaping layer every message is its own frame; the shaper's
-  // batched/immediate split supersedes this when it wraps us.
-  std::uint64_t immediateMessages() const override { return messagesSent(); }
-
-  std::uint64_t heartbeatsSent() const override {
-    return heartbeats_.load(std::memory_order_relaxed);
-  }
-
-  // Highest outbound-queue depth seen on any single peer: the TCP analogue
-  // of the simulated fabric's in-flight high-water mark.
-  std::size_t queueHighWater() const override;
+  // Only networkHeartbeats: the idle keep-alive frames written towards
+  // peers, which the ShapedTransport wrapped around this backend never
+  // sees. Messages, bytes and frames are the shaper's to count.
+  MetricsSnapshot traffic() const override;
 
   // Instantaneous depths for the telemetry Sample: outbound queues plus
   // the local inbox, and the deepest single peer queue.
@@ -179,7 +173,6 @@ class TcpTransport : public Transport {
     // peerDied() once-guard: the diagnostic, trace event and failure
     // callback fire at most once per peer, whichever path noticed first.
     bool deathReported GUARDED_BY(mtx) = false;
-    std::size_t highWater GUARDED_BY(mtx) = 0;
   };
 
   void senderLoop(int peerRank);
@@ -212,9 +205,6 @@ class TcpTransport : public Transport {
   std::atomic<std::chrono::steady_clock::time_point> drainDeadline_{};
   std::atomic<bool> shutdownDone_{false};
 
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> heartbeats_{0};
 
   mutable Mutex cbMtx_;

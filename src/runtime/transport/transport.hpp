@@ -18,7 +18,10 @@
 // with shed-to-spill back-pressure, per-link counters) are NOT per-backend:
 // ShapedTransport (transport/shaping.hpp) wraps any Transport and every
 // engine rank, simulated or TCP, runs behind its own, so `--net-batch` and
-// `--net-queue-cap` behave identically on both backends.
+// `--net-queue-cap` behave identically on both backends. The shaper is the
+// only layer that counts traffic; a backend under it reports through
+// traffic() only what the shaper cannot see (TCP heartbeats, the simulated
+// fabric's modelled delays).
 //
 // A Transport serves receives for one or more local localities; `recvWait`
 // and `tryRecv` take the locality id so the in-process backend can host all
@@ -30,7 +33,6 @@
 // so the clang thread-safety analysis checks the contract at compile time;
 // see docs/ARCHITECTURE.md "Lock hierarchy & guarded-state map".
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -103,27 +105,10 @@ class Transport {
   virtual void shutdown() {}
 
   // ---- accounting ------------------------------------------------------
-  // Logical messages / payload bytes handed to send(), and wire frames
-  // actually emitted (batching makes frames <= messages).
-  virtual std::uint64_t messagesSent() const = 0;
-  virtual std::uint64_t bytesSent() const = 0;
-  virtual std::uint64_t framesSent() const = 0;
-
-  // Batching/back-pressure/latency detail; maintained by the shaping layer
-  // (ShapedTransport) on both backends, zero for bare transports without
-  // those layers.
-  virtual std::uint64_t batchedMessages() const { return 0; }
-  virtual std::uint64_t immediateMessages() const { return 0; }
-  virtual std::uint64_t spilledMessages() const { return 0; }
-  virtual std::size_t queueHighWater() const { return 0; }
-  virtual std::array<std::uint64_t, kNetLatencyBuckets> latencyHistogram()
-      const {
-    return {};
-  }
-
-  // Idle keep-alive frames emitted towards peers (rank-failure detection;
-  // TCP only - they never surface as messages or count as frames).
-  virtual std::uint64_t heartbeatsSent() const { return 0; }
+  // This endpoint's traffic so far as the gather's network rows (the
+  // network* fields, linkQueueHighWater and netLatencyHist of a
+  // MetricsSnapshot; every other field is zero). Empty by default.
+  virtual MetricsSnapshot traffic() const { return {}; }
 
   // ---- observability ----------------------------------------------------
   // Instantaneous queue depths for the telemetry Sample: messages queued

@@ -4,7 +4,7 @@
 // per-link counter accounting. The engine-level leg checks that no
 // batch/cap/delay combination can change a search result on any skeleton,
 // and that a saturated link never deadlocks the steal request/reply cycle
-// (the CI TSan lane runs this suite alongside test_runtime).
+// (the CI TSan and ASan lanes run this suite alongside test_runtime).
 
 #include <gtest/gtest.h>
 
@@ -102,7 +102,7 @@ TEST(NetworkBatch, SizeTriggeredFlush) {
   net.send(Message{0, 1, 2, {}});
   // Two buffered messages: nothing on the wire yet.
   EXPECT_FALSE(net.tryRecv(1).has_value());
-  EXPECT_EQ(net.framesSent(), 0u);
+  EXPECT_EQ(net.traffic().networkFrames, 0u);
   // The third fills the batch: one frame, three deliverable messages, FIFO.
   net.send(Message{0, 1, 3, {}});
   for (int tagId = 1; tagId <= 3; ++tagId) {
@@ -110,10 +110,11 @@ TEST(NetworkBatch, SizeTriggeredFlush) {
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->tag, tagId);
   }
-  EXPECT_EQ(net.framesSent(), 1u);
-  EXPECT_EQ(net.batchedMessages(), 3u);
-  EXPECT_EQ(net.immediateMessages(), 0u);
-  EXPECT_EQ(net.messagesSent(), 3u);
+  const auto t = net.traffic();
+  EXPECT_EQ(t.networkFrames, 1u);
+  EXPECT_EQ(t.networkBatched, 3u);
+  EXPECT_EQ(t.networkImmediate, 0u);
+  EXPECT_EQ(t.networkMessages, 3u);
 }
 
 TEST(NetworkBatch, DeadlineTriggeredFlush) {
@@ -129,8 +130,8 @@ TEST(NetworkBatch, DeadlineTriggeredFlush) {
   auto m = net.recvWait(1, 5s);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->tag, 7);
-  EXPECT_EQ(net.framesSent(), 1u);
-  EXPECT_EQ(net.immediateMessages(), 1u);  // a frame of one
+  EXPECT_EQ(net.traffic().networkFrames, 1u);
+  EXPECT_EQ(net.traffic().networkImmediate, 1u);  // a frame of one
 }
 
 TEST(NetworkBatch, FlushAllForcesBufferedFrames) {
@@ -144,8 +145,8 @@ TEST(NetworkBatch, FlushAllForcesBufferedFrames) {
   net.flushAll();
   EXPECT_TRUE(net.tryRecv(1).has_value());
   EXPECT_TRUE(net.tryRecv(1).has_value());
-  EXPECT_EQ(net.framesSent(), 1u);
-  EXPECT_EQ(net.batchedMessages(), 2u);
+  EXPECT_EQ(net.traffic().networkFrames, 1u);
+  EXPECT_EQ(net.traffic().networkBatched, 2u);
 }
 
 TEST(NetworkBatch, SelfSendBypassesBatchingAndDelay) {
@@ -194,7 +195,7 @@ TEST(NetworkDelay, DelayHoldsDelivery) {
   auto m = net.recvWait(1, 500ms);
   ASSERT_TRUE(m.has_value());
   // The modelled latency landed in the histogram (20000us -> bucket 15).
-  auto hist = net.latencyHistogram();
+  const auto hist = net.traffic().netLatencyHist;
   std::uint64_t recorded = 0;
   for (auto c : hist) recorded += c;
   EXPECT_EQ(recorded, 1u);
@@ -211,10 +212,10 @@ TEST(NetworkBackPressure, FullLinkShedsToSpillAndLosesNothing) {
   for (int i = 0; i < kMsgs; ++i) {
     net.send(Message{0, 1, tag::kUser + i, {}});
   }
-  auto stats = net.linkStats(0, 1);
-  EXPECT_EQ(stats.queueHighWater, 4u);            // never above the cap
-  EXPECT_EQ(stats.spilled, 6u);                   // overflow shed, not lost
-  EXPECT_EQ(net.spilledMessages(), 6u);
+  const auto stats = net.linkStats(0, 1);
+  EXPECT_EQ(stats.linkQueueHighWater, 4u);        // never above the cap
+  EXPECT_EQ(stats.networkSpills, 6u);             // overflow shed, not lost
+  EXPECT_EQ(net.traffic().networkSpills, 6u);
   // Draining the link promotes spilled messages in FIFO order.
   for (int i = 0; i < kMsgs; ++i) {
     auto m = net.recvWait(1, 100ms);
@@ -222,7 +223,7 @@ TEST(NetworkBackPressure, FullLinkShedsToSpillAndLosesNothing) {
     EXPECT_EQ(m->tag, tag::kUser + i);
   }
   EXPECT_FALSE(net.tryRecv(1).has_value());
-  EXPECT_EQ(net.linkStats(0, 1).queueHighWater, 4u);
+  EXPECT_EQ(net.linkStats(0, 1).linkQueueHighWater, 4u);
 }
 
 TEST(NetworkBackPressure, CongestedLinkStillServesRequestReplyCycles) {
@@ -251,7 +252,7 @@ TEST(NetworkBackPressure, CongestedLinkStillServesRequestReplyCycles) {
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_EQ(acks.load(), kRequests);
-  EXPECT_GT(net.spilledMessages(), 0u);  // the cap actually bit
+  EXPECT_GT(net.traffic().networkSpills, 0u);  // the cap actually bit
   requester.stop();
   responder.stop();
 }
@@ -283,19 +284,49 @@ TEST(NetworkCounters, PerLinkAtomicsSumToTotalsUnderConcurrency) {
 
   const auto l01 = net.linkStats(0, 1);
   const auto l02 = net.linkStats(0, 2);
-  EXPECT_EQ(l01.messages, 2u * kPerSender);
-  EXPECT_EQ(l02.messages, 2u * kPerSender);
-  EXPECT_EQ(net.messagesSent(), l01.messages + l02.messages);
-  EXPECT_EQ(net.bytesSent(), l01.bytes + l02.bytes);
-  EXPECT_EQ(net.framesSent(), l01.frames + l02.frames);
+  const auto total = net.traffic();
+  EXPECT_EQ(l01.networkMessages, 2u * kPerSender);
+  EXPECT_EQ(l02.networkMessages, 2u * kPerSender);
+  EXPECT_EQ(total.networkMessages, l01.networkMessages + l02.networkMessages);
+  EXPECT_EQ(total.networkBytes, l01.networkBytes + l02.networkBytes);
+  EXPECT_EQ(total.networkFrames, l01.networkFrames + l02.networkFrames);
   // Every message is accounted batched or immediate once flushed.
-  EXPECT_EQ(net.batchedMessages() + net.immediateMessages(),
-            net.messagesSent());
+  EXPECT_EQ(total.networkBatched + total.networkImmediate,
+            total.networkMessages);
   // And every message is deliverable exactly once.
   int received = 0;
   while (net.tryRecv(1)) ++received;
   while (net.tryRecv(2)) ++received;
   EXPECT_EQ(received, 4 * kPerSender);
+}
+
+TEST(NetworkCounters, EachSimulatedRankCountsOnlyItsOwnLinks) {
+  // The engine's simulated composition: one fabric, one port per rank and
+  // a shaper around each. Each shaper reports only what its rank sent,
+  // including its share of the fabric's modelled delays; the fabric itself
+  // reports every link's.
+  NetConfig cfg;
+  cfg.delay = DelayModel::parse("fixed:200");
+  InProcFabric fabric(2, cfg);
+  InProcPort p0(fabric, 0), p1(fabric, 1);
+  ShapedTransport s0(p0, cfg), s1(p1, cfg);
+  for (std::int32_t i = 0; i < 3; ++i) {
+    s0.send(Message{0, 1, tag::kUser, toBytes(i)});  // 4 bytes each
+  }
+  for (std::int64_t i = 0; i < 2; ++i) {
+    s1.send(Message{1, 0, tag::kUser, toBytes(i)});  // 8 bytes each
+  }
+
+  const auto bucket = static_cast<std::size_t>(netLatencyBucketFor(200));
+  const auto t0 = s0.traffic();
+  const auto t1 = s1.traffic();
+  EXPECT_EQ(t0.networkMessages, 3u);
+  EXPECT_EQ(t0.networkBytes, 12u);
+  EXPECT_EQ(t1.networkMessages, 2u);
+  EXPECT_EQ(t1.networkBytes, 16u);
+  EXPECT_EQ(t0.netLatencyHist[bucket], 3u);
+  EXPECT_EQ(t1.netLatencyHist[bucket], 2u);
+  EXPECT_EQ(fabric.traffic().netLatencyHist[bucket], 5u);
 }
 
 // ---- engine-level determinism -------------------------------------------

@@ -497,6 +497,24 @@ TEST(StatusRender, StatusJsonIsValidAndCarriesTheWorld) {
   EXPECT_TRUE(validJson(statusd::renderStatusJson({}))) << "empty world";
 }
 
+TEST(StatusRender, LinesLongerThanAnyBufferRenderWhole) {
+  // A line is as long as its labels make it: a 600-character rule name
+  // must reach both renderers whole, not cut short and followed by
+  // whatever lay past a fixed-size buffer.
+  auto ranks = fakeRanks();
+  const std::string name(600, 'x');
+  ranks[1].rules.push_back({name, true, true, 4});
+  const auto metrics = statusd::renderMetrics(ranks);
+  const auto json = statusd::renderStatusJson(ranks);
+  EXPECT_NE(metrics.find("rule=\"" + name + "\"} 1\n"), std::string::npos);
+  EXPECT_NE(metrics.find("rule=\"" + name + "\"} 4\n"), std::string::npos);
+  EXPECT_NE(json.find("\"rule\": \"" + name + "\", \"enabled\": true"),
+            std::string::npos);
+  EXPECT_EQ(metrics.find('\0'), std::string::npos);
+  EXPECT_EQ(json.find('\0'), std::string::npos);
+  EXPECT_TRUE(validJson(json));
+}
+
 // ---- status endpoint: server ----------------------------------------------
 
 namespace {
@@ -874,8 +892,9 @@ struct SocketPair {
 }  // namespace
 
 TEST(Wire, PreProfileBuildIsRefusedAtHandshake) {
-  // This PR moved the GatherMsg/MetricsSnapshot layouts to revision 3; a
-  // revision-2 binary (same tag table) must be fenced off at connect time.
+  // The GatherMsg/MetricsSnapshot layouts are at revision 3 (per-worker
+  // phase profile); a revision-2 binary (same tag table) must be fenced
+  // off by the exchange every mesh connection opens with.
   EXPECT_EQ(wire::kPayloadLayoutVersion, 3u);
   ASSERT_NE(versionWithLayout(2), wire::protocolVersion());
 
@@ -887,7 +906,7 @@ TEST(Wire, PreProfileBuildIsRefusedAtHandshake) {
   ASSERT_EQ(::send(sp.a, bytes.data(), bytes.size(), 0),
             static_cast<ssize_t>(bytes.size()));
   try {
-    readHandshake(sp.b, /*expectWorld=*/2, 1000ms);
+    tryExchangeHandshake(sp.b, /*rank=*/0, /*world=*/2, 1000ms);
     FAIL() << "expected a version-mismatch TransportError";
   } catch (const TransportError& e) {
     EXPECT_NE(std::string(e.what()).find("version mismatch"),

@@ -565,7 +565,7 @@ TEST(Network, BroadcastSkipsSender) {
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->tag, 9);
   }
-  EXPECT_EQ(net.messagesSent(), 3u);
+  EXPECT_EQ(net.traffic().networkMessages, 3u);
 }
 
 TEST(Network, DelayHoldsDelivery) {
@@ -740,15 +740,15 @@ TEST(Network, PerLinkCountersMatchFabricTotals) {
   for (int src = 0; src < 3; ++src) {
     for (int dst = 0; dst < 3; ++dst) {
       const auto s = net.linkStats(src, dst);
-      msgs += s.messages;
-      bytes += s.bytes;
+      msgs += s.networkMessages;
+      bytes += s.networkBytes;
     }
   }
-  EXPECT_EQ(msgs, net.messagesSent());
-  EXPECT_EQ(bytes, net.bytesSent());
-  EXPECT_EQ(net.linkStats(0, 1).messages, 1u);
-  EXPECT_EQ(net.linkStats(1, 2).bytes, 0u);
-  EXPECT_EQ(net.linkStats(2, 0).messages, 0u);
+  EXPECT_EQ(msgs, net.traffic().networkMessages);
+  EXPECT_EQ(bytes, net.traffic().networkBytes);
+  EXPECT_EQ(net.linkStats(0, 1).networkMessages, 1u);
+  EXPECT_EQ(net.linkStats(1, 2).networkBytes, 0u);
+  EXPECT_EQ(net.linkStats(2, 0).networkMessages, 0u);
 }
 
 TEST(Termination, NoFalsePositiveWhileTasksFlow) {

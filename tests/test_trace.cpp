@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -202,16 +201,20 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
   // concurrently, so rank 1 may even steal the root before rank 0's team
   // pops it), but every task span sits on a named worker track of its rank.
   using Track = std::pair<int, unsigned long>;  // (pid, tid)
-  const auto track = [](const std::smatch& m, int at) {
-    return Track{std::stoi(m[at]), std::stoul(m[at + 1])};
-  };
   std::map<Track, std::string> names;
-  const std::regex nameRe(
-      "\"name\":\"thread_name\",\"pid\":([0-9]+),\"tid\":([0-9]+),"
-      "\"args\":\\{\"name\":\"([^\"]*)\"");
-  for (std::sregex_iterator it(text.begin(), text.end(), nameRe), end;
-       it != end; ++it) {
-    names[track(*it, 1)] = (*it)[3];
+  const std::string nameKey = "\"name\":\"thread_name\",";
+  for (auto at = text.find(nameKey); at != std::string::npos;
+       at = text.find(nameKey, at + 1)) {
+    int pid = -1;
+    unsigned long tid = 0;
+    int nameAt = 0;  // where the name starts, set by %n only on a full match
+    const auto meta = text.substr(at, text.find('}', at) - at);
+    std::sscanf(meta.c_str() + nameKey.size(),
+                "\"pid\":%d,\"tid\":%lu,\"args\":{\"name\":\"%n", &pid,
+                &tid, &nameAt);
+    ASSERT_GT(nameAt, 0) << "malformed thread_name: " << meta;
+    const auto begin = nameKey.size() + static_cast<std::size_t>(nameAt);
+    names[Track{pid, tid}] = meta.substr(begin, meta.find('"', begin) - begin);
   }
   for (const auto& [pid, name] : std::vector<std::pair<int, std::string>>{
            {0, "L0.term"}, {0, "L0.mgr"}, {1, "L1.mgr"}}) {
@@ -221,16 +224,22 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
                             }))
         << "no track named " << name;
   }
-  const std::regex spanRe(
-      "\"cat\":\"task\",\"pid\":([0-9]+),\"tid\":([0-9]+)");
+  const std::string spanKey = "\"cat\":\"task\",";
   int taskSpans = 0;
-  for (std::sregex_iterator it(text.begin(), text.end(), spanRe), end;
-       it != end; ++it) {
+  for (auto at = text.find(spanKey); at != std::string::npos;
+       at = text.find(spanKey, at + 1)) {
+    int pid = -1;
+    unsigned long tid = 0;
+    const auto span = text.substr(at, text.find('}', at) - at);
+    ASSERT_EQ(std::sscanf(span.c_str() + spanKey.size(),
+                          "\"pid\":%d,\"tid\":%lu", &pid, &tid),
+              2)
+        << "malformed task span: " << span;
     ++taskSpans;
-    const auto found = names.find(track(*it, 1));
-    const auto worker = "L" + (*it)[1].str() + ".w";
+    const auto found = names.find(Track{pid, tid});
+    const auto worker = "L" + std::to_string(pid) + ".w";
     EXPECT_TRUE(found != names.end() && found->second.rfind(worker, 0) == 0)
-        << "task span on a track not named " << worker << "*: " << it->str();
+        << "task span on a track not named " << worker << "*: " << span;
   }
   EXPECT_GT(taskSpans, 0);
   // Both simulated localities recorded under their own pid.
