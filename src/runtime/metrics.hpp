@@ -14,6 +14,7 @@
 // plain data: never share one instance between threads without external
 // synchronisation.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -112,57 +113,77 @@ struct MetricsSnapshot {
     return netLatencyBucketUpperMicros(kNetLatencyBuckets - 1);
   }
 
-  MetricsSnapshot& operator+=(const MetricsSnapshot& o) {
-    nodesProcessed += o.nodesProcessed;
-    tasksSpawned += o.tasksSpawned;
-    prunes += o.prunes;
-    backtracks += o.backtracks;
-    localSteals += o.localSteals;
-    remoteSteals += o.remoteSteals;
-    failedSteals += o.failedSteals;
-    stealReplies += o.stealReplies;
-    boundBroadcasts += o.boundBroadcasts;
-    boundUpdatesApplied += o.boundUpdatesApplied;
-    poolLockContentions += o.poolLockContentions;
-    healthWarnings += o.healthWarnings;
-    networkMessages += o.networkMessages;
-    networkBytes += o.networkBytes;
-    networkFrames += o.networkFrames;
-    networkBatched += o.networkBatched;
-    networkImmediate += o.networkImmediate;
-    networkSpills += o.networkSpills;
-    networkHeartbeats += o.networkHeartbeats;
-    // A high-water mark, not a volume: combining snapshots keeps the max.
-    if (o.linkQueueHighWater > linkQueueHighWater) {
-      linkQueueHighWater = o.linkQueueHighWater;
-    }
-    for (int i = 0; i < kNetLatencyBuckets; ++i) {
-      netLatencyHist[static_cast<std::size_t>(i)] +=
-          o.netLatencyHist[static_cast<std::size_t>(i)];
-    }
-    return *this;
-  }
-
-  void save(OArchive& a) const {
-    a << nodesProcessed << tasksSpawned << prunes << backtracks << localSteals
-      << remoteSteals << failedSteals << stealReplies << boundBroadcasts
-      << boundUpdatesApplied << poolLockContentions << healthWarnings
-      << networkMessages << networkBytes
-      << networkFrames << networkBatched << networkImmediate << networkSpills
-      << networkHeartbeats << linkQueueHighWater;
-    for (auto c : netLatencyHist) a << c;
-  }
-  void load(IArchive& a) {
-    a >> nodesProcessed >> tasksSpawned >> prunes >> backtracks >>
-        localSteals >> remoteSteals >> failedSteals >> stealReplies >>
-        boundBroadcasts >> boundUpdatesApplied >> poolLockContentions >>
-        healthWarnings >>
-        networkMessages >> networkBytes >> networkFrames >> networkBatched >>
-        networkImmediate >> networkSpills >> networkHeartbeats >>
-        linkQueueHighWater;
-    for (auto& c : netLatencyHist) a >> c;
-  }
+  // Defined below: loops over kCounters, then the histogram's buckets.
+  MetricsSnapshot& operator+=(const MetricsSnapshot& o);
+  void save(OArchive& a) const;
+  void load(IArchive& a);
 };
+
+// The counter table: one row per MetricsSnapshot counter, in field order,
+// which is the wire order save() and load() walk. The merge, the archive,
+// /metrics, /status.json and the telemetry CSV all iterate it, so a counter
+// is a field plus a row and has one name on every surface
+// (docs/ARCHITECTURE.md "One counter table").
+struct Counter {
+  enum Kind : std::uint8_t { kSum, kMax };  // merging adds / keeps the larger
+  const char* name;
+  Kind kind;
+  std::uint64_t MetricsSnapshot::*field;
+};
+
+inline constexpr Counter kCounters[] = {
+    {"nodes_processed", Counter::kSum, &MetricsSnapshot::nodesProcessed},
+    {"tasks_spawned", Counter::kSum, &MetricsSnapshot::tasksSpawned},
+    {"prunes", Counter::kSum, &MetricsSnapshot::prunes},
+    {"backtracks", Counter::kSum, &MetricsSnapshot::backtracks},
+    {"local_steals", Counter::kSum, &MetricsSnapshot::localSteals},
+    {"remote_steals", Counter::kSum, &MetricsSnapshot::remoteSteals},
+    {"failed_steals", Counter::kSum, &MetricsSnapshot::failedSteals},
+    {"steal_replies", Counter::kSum, &MetricsSnapshot::stealReplies},
+    {"bound_broadcasts", Counter::kSum, &MetricsSnapshot::boundBroadcasts},
+    {"bound_updates_applied", Counter::kSum,
+     &MetricsSnapshot::boundUpdatesApplied},
+    {"pool_lock_contentions", Counter::kSum,
+     &MetricsSnapshot::poolLockContentions},
+    {"health_warnings", Counter::kSum, &MetricsSnapshot::healthWarnings},
+    {"network_messages", Counter::kSum, &MetricsSnapshot::networkMessages},
+    {"network_bytes", Counter::kSum, &MetricsSnapshot::networkBytes},
+    {"network_frames", Counter::kSum, &MetricsSnapshot::networkFrames},
+    {"network_batched", Counter::kSum, &MetricsSnapshot::networkBatched},
+    {"network_immediate", Counter::kSum, &MetricsSnapshot::networkImmediate},
+    {"network_spills", Counter::kSum, &MetricsSnapshot::networkSpills},
+    {"network_heartbeats", Counter::kSum,
+     &MetricsSnapshot::networkHeartbeats},
+    {"link_queue_high_water", Counter::kMax,
+     &MetricsSnapshot::linkQueueHighWater},
+};
+
+// A field without a row fails the build instead of dropping out of the gather.
+static_assert(sizeof(MetricsSnapshot) ==
+              sizeof(std::uint64_t) *
+                  (std::size(kCounters) + kNetLatencyBuckets));
+
+inline MetricsSnapshot& MetricsSnapshot::operator+=(const MetricsSnapshot& o) {
+  for (const auto& c : kCounters) {
+    auto& mine = this->*c.field;
+    mine = c.kind == Counter::kMax ? std::max(mine, o.*c.field)
+                                   : mine + o.*c.field;
+  }
+  for (std::size_t i = 0; i < netLatencyHist.size(); ++i) {
+    netLatencyHist[i] += o.netLatencyHist[i];
+  }
+  return *this;
+}
+
+inline void MetricsSnapshot::save(OArchive& a) const {
+  for (const auto& c : kCounters) a << this->*c.field;
+  for (auto c : netLatencyHist) a << c;
+}
+
+inline void MetricsSnapshot::load(IArchive& a) {
+  for (const auto& c : kCounters) a >> this->*c.field;
+  for (auto& c : netLatencyHist) a >> c;
+}
 
 // Lock-free accumulation; workers of one locality share one instance.
 struct Metrics {

@@ -45,6 +45,7 @@ inline constexpr int kNumPhases = 5;
 
 const char* phaseName(Phase p);
 
+// The one steady-clock read behind every runtime timestamp.
 inline std::uint64_t nowNanos() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

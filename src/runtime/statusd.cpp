@@ -102,10 +102,10 @@ void appendf(std::string& out, const char* fmt, ...) {
   va_end(ap);
 }
 
-// One `name{rank="r"[,extra]} value` exposition line.
-void counter(std::string& out, const char* name, int rank,
-             std::uint64_t value) {
-  appendf(out, "yewpar_%s{rank=\"%d\"} %" PRIu64 "\n", name, rank, value);
+// A counter row's /metrics suffix: sums are Prometheus counters, so they
+// carry _total; a max row is a gauge.
+const char* totalSuffix(const Counter& c) {
+  return c.kind == Counter::kSum ? "_total" : "";
 }
 
 }  // namespace
@@ -113,11 +113,11 @@ void counter(std::string& out, const char* name, int rank,
 std::string renderMetrics(const std::vector<RankStatus>& ranks) {
   std::string out;
   out.reserve(4096);
+  for (const auto& c : kCounters) {
+    appendf(out, "# TYPE yewpar_%s%s %s\n", c.name, totalSuffix(c),
+            c.kind == Counter::kSum ? "counter" : "gauge");
+  }
   out +=
-      "# HELP yewpar_nodes_processed_total Search-tree nodes processed.\n"
-      "# TYPE yewpar_nodes_processed_total counter\n"
-      "# TYPE yewpar_tasks_spawned_total counter\n"
-      "# TYPE yewpar_steals_total counter\n"
       "# TYPE yewpar_worker_phase_seconds_total counter\n"
       "# TYPE yewpar_pool_depth gauge\n"
       "# TYPE yewpar_health_rule_firing gauge\n"
@@ -130,30 +130,14 @@ std::string renderMetrics(const std::vector<RankStatus>& ranks) {
             r.uptimeSeconds);
     appendf(out, "yewpar_search_active{rank=\"%d\"} %d\n", rank,
             r.sample.searchActive ? 1 : 0);
-    counter(out, "nodes_processed_total", rank, m.nodesProcessed);
-    counter(out, "tasks_spawned_total", rank, m.tasksSpawned);
-    counter(out, "prunes_total", rank, m.prunes);
-    counter(out, "backtracks_total", rank, m.backtracks);
-    appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"local\"} %" PRIu64
-                 "\n",
-            rank, m.localSteals);
-    appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"remote\"} %" PRIu64
-                 "\n",
-            rank, m.remoteSteals);
-    appendf(out, "yewpar_steals_total{rank=\"%d\",kind=\"failed\"} %" PRIu64
-                 "\n",
-            rank, m.failedSteals);
-    counter(out, "steal_replies_total", rank, m.stealReplies);
-    counter(out, "bound_broadcasts_total", rank, m.boundBroadcasts);
-    counter(out, "bound_updates_applied_total", rank,
-            m.boundUpdatesApplied);
-    counter(out, "pool_lock_contentions_total", rank,
-            m.poolLockContentions);
-    counter(out, "network_messages_total", rank, m.networkMessages);
-    counter(out, "network_bytes_total", rank, m.networkBytes);
-    counter(out, "health_warnings_total", rank, m.healthWarnings);
-    counter(out, "pool_depth", rank, r.sample.poolDepth);
-    counter(out, "net_queue_depth", rank, r.sample.netQueued);
+    for (const auto& c : kCounters) {
+      appendf(out, "yewpar_%s%s{rank=\"%d\"} %" PRIu64 "\n", c.name,
+              totalSuffix(c), rank, m.*c.field);
+    }
+    appendf(out, "yewpar_pool_depth{rank=\"%d\"} %" PRIu64 "\n", rank,
+            r.sample.poolDepth);
+    appendf(out, "yewpar_net_queue_depth{rank=\"%d\"} %" PRIu64 "\n", rank,
+            r.sample.netQueued);
     if (r.sample.objective) {
       appendf(out, "yewpar_incumbent_objective{rank=\"%d\"} %" PRId64 "\n",
               rank, *r.sample.objective);
@@ -211,8 +195,9 @@ std::string renderStatusJson(const std::vector<RankStatus>& ranks) {
     } else {
       out += "\"incumbent_objective\": null, ";
     }
-    appendf(out, "\"nodes_processed\": %" PRIu64 ", ",
-            smp.metrics.nodesProcessed);
+    for (const auto& c : kCounters) {
+      appendf(out, "\"%s\": %" PRIu64 ", ", c.name, smp.metrics.*c.field);
+    }
     appendf(out, "\"pool_depth\": %" PRIu64 ", ", smp.poolDepth);
     appendf(out, "\"net_queued\": %" PRIu64 ", ", smp.netQueued);
     appendf(out, "\"workers\": %zu, ", smp.profile.workers.size());

@@ -7,11 +7,12 @@
 // accepts loopback-style scrape connections (curl, Prometheus), reads the
 // request line, serves exactly three routes, and closes:
 //
-//   GET /metrics      Prometheus text exposition: coordination counters,
+//   GET /metrics      Prometheus text exposition: every counter row,
 //                     per-worker phase seconds, pool/transport queue
 //                     depths, health-rule states - one block per rank.
 //   GET /status.json  one JSON object: world size, uptime, and per-rank
-//                     incumbent objective, health rules, imbalance indices.
+//                     counter rows, incumbent objective, health rules,
+//                     imbalance indices.
 //   GET /healthz      "ok" liveness probe.
 //
 // The server renders from RankStatus values pulled through a Source

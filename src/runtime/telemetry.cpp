@@ -91,7 +91,8 @@ void writeCsv(const std::string& path, const std::vector<Sample>& rows) {
                              "' for writing");
   }
   std::FILE* f = fp.f;
-  // The fixed columns, then one cumulative busy/idle nanosecond pair per
+  // The fixed columns, one per counter row (docs/ARCHITECTURE.md "One
+  // counter table"), then one cumulative busy/idle nanosecond pair per
   // worker (busy = working + popping + stealing; see runtime/profile.hpp).
   // The worker columns are sized by the widest row so a CSV mixing
   // localities with different team sizes stays rectangular.
@@ -101,28 +102,20 @@ void writeCsv(const std::string& path, const std::vector<Sample>& rows) {
       nWorkers = s.profile.workers.size();
     }
   }
-  std::fputs(
-      "t_ms,rank,pool_depth,net_queued,net_queued_max_link,nodes,"
-      "tasks_spawned,prunes,backtracks,local_steals,remote_steals,"
-      "failed_steals,steal_replies,bound_broadcasts,bound_applied",
-      f);
+  std::fputs("t_ms,rank,pool_depth,net_queued,net_queued_max_link", f);
+  for (const auto& c : kCounters) std::fprintf(f, ",%s", c.name);
   for (std::size_t w = 0; w < nWorkers; ++w) {
     std::fprintf(f, ",w%zu_busy_ns,w%zu_idle_ns", w, w);
   }
   std::fputc('\n', f);
   const std::uint64_t t0 = rows.empty() ? 0 : rows.front().tNanos;
   for (const auto& s : rows) {
-    std::fprintf(
-        f,
-        "%.3f,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64,
-        static_cast<double>(s.tNanos - t0) / 1e6, s.rank, s.poolDepth,
-        s.netQueued, s.netQueuedMaxLink, s.metrics.nodesProcessed,
-        s.metrics.tasksSpawned, s.metrics.prunes, s.metrics.backtracks,
-        s.metrics.localSteals, s.metrics.remoteSteals,
-        s.metrics.failedSteals, s.metrics.stealReplies,
-        s.metrics.boundBroadcasts, s.metrics.boundUpdatesApplied);
+    std::fprintf(f, "%.3f,%d,%" PRIu64 ",%" PRIu64 ",%" PRIu64,
+                 static_cast<double>(s.tNanos - t0) / 1e6, s.rank,
+                 s.poolDepth, s.netQueued, s.netQueuedMaxLink);
+    for (const auto& c : kCounters) {
+      std::fprintf(f, ",%" PRIu64, s.metrics.*c.field);
+    }
     for (std::size_t w = 0; w < nWorkers; ++w) {
       if (w < s.profile.workers.size()) {
         const auto& ph = s.profile.workers[w];

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "runtime/profile.hpp"
 #include "runtime/trace.hpp"
 #include "util/archive.hpp"
 
@@ -45,12 +46,7 @@ TerminationDetector::TerminationDetector(Locality& loc, int nLocalities)
 TerminationDetector::~TerminationDetector() { stop(); }
 
 void TerminationDetector::stampProbe() {
-  lastProbeNanos_.store(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count()),
-      std::memory_order_relaxed);
+  lastProbeNanos_.store(prof::nowNanos(), std::memory_order_relaxed);
 }
 
 void TerminationDetector::startLeader() {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "runtime/profile.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace yewpar::rt::trace {
@@ -92,7 +93,7 @@ void recordSlow(Ev kind, int rank, std::uint64_t a, std::uint64_t b) {
     return;
   }
   Event& e = buf->slots[idx];
-  e.tsNanos = nowNanos();
+  e.tsNanos = prof::nowNanos();
   e.kind = static_cast<std::uint16_t>(kind);
   e.tid = buf->tid;
   e.rank = rank;

@@ -28,7 +28,6 @@
 // chrome://tracing.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -79,13 +78,6 @@ struct Event {
   }
   void load(IArchive& ar) { ar >> tsNanos >> kind >> tid >> rank >> a >> b; }
 };
-
-inline std::uint64_t nowNanos() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 namespace detail {
 extern std::atomic<bool> gEnabled;

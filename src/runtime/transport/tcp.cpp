@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "runtime/profile.hpp"
 #include "runtime/trace.hpp"
 
 namespace yewpar::rt {
@@ -127,7 +128,7 @@ std::optional<HandshakeResult> tryExchangeHandshake(
   wire::Handshake mine;
   mine.rank = static_cast<std::uint32_t>(rank);
   mine.world = static_cast<std::uint32_t>(world);
-  mine.sendNanos = trace::nowNanos();
+  mine.sendNanos = prof::nowNanos();
   const auto bytes = mine.encode();
   if (!writeFull(fd, bytes.data(), bytes.size())) return std::nullopt;
 
@@ -142,7 +143,7 @@ std::optional<HandshakeResult> tryExchangeHandshake(
   if (readFull(fd, buf + 4, sizeof(buf) - 4, expired) != ReadResult::Ok) {
     return std::nullopt;
   }
-  const auto recvNanos = trace::nowNanos();
+  const auto recvNanos = prof::nowNanos();
   const auto h = wire::Handshake::decode(buf);
   if (h.version != wire::protocolVersion()) {
     char msg[128];

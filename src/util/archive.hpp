@@ -67,7 +67,10 @@ class OArchive {
     if constexpr (detail::TriviallySerializable<T>) {
       auto old = buf_.size();
       buf_.resize(old + v.size() * sizeof(T));
-      std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
+      // An empty vector's data() may be null, which memcpy must never see.
+      if (!v.empty()) {
+        std::memcpy(buf_.data() + old, v.data(), v.size() * sizeof(T));
+      }
     } else {
       for (const auto& e : v) *this << e;
     }
@@ -130,8 +133,10 @@ class IArchive {
     if constexpr (detail::TriviallySerializable<T>) {
       const std::uint64_t n = readCount(sizeof(T));
       v.resize(static_cast<std::size_t>(n));
-      std::memcpy(v.data(), buf_.data() + pos_,
-                  static_cast<std::size_t>(n) * sizeof(T));
+      if (n != 0) {
+        std::memcpy(v.data(), buf_.data() + pos_,
+                    static_cast<std::size_t>(n) * sizeof(T));
+      }
       pos_ += static_cast<std::size_t>(n) * sizeof(T);
     } else {
       // Element sizes vary, so the exact bound is unknowable upfront; cap

@@ -4,8 +4,9 @@
 // math, the health rules' windows and warn rate limiting over hand-built
 // Sample sequences, the embedded status endpoint's three routes against both
 // a fake source and a live 2-locality engine run, the telemetry CSV's
-// per-worker columns, and the payload-layout handshake fence (`ctest -L net`
-// selects it).
+// per-worker columns, the counter table (every row on every surface, its
+// wire order, its merge), and the payload-layout handshake fence
+// (`ctest -L net` selects it).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -57,6 +59,13 @@ struct TempFile {
       : path(stem + "." + std::to_string(::getpid()) + ".tmp") {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+// A counter row's /metrics family: yewpar_<name>_total for a sum,
+// yewpar_<name> for a max.
+std::string family(const Counter& c) {
+  return std::string("yewpar_") + c.name +
+         (c.kind == Counter::kSum ? "_total" : "");
+}
 
 }  // namespace
 
@@ -447,9 +456,8 @@ TEST(StatusRender, MetricsIsPrometheusTextExposition) {
             std::string::npos);
   EXPECT_NE(text.find("yewpar_nodes_processed_total{rank=\"1\"} 101\n"),
             std::string::npos);
-  EXPECT_NE(
-      text.find("yewpar_steals_total{rank=\"0\",kind=\"failed\"} 2\n"),
-      std::string::npos);
+  EXPECT_NE(text.find("yewpar_failed_steals_total{rank=\"0\"} 2\n"),
+            std::string::npos);
   EXPECT_NE(text.find("yewpar_health_warnings_total{rank=\"1\"} 1\n"),
             std::string::npos);
   EXPECT_NE(text.find("yewpar_incumbent_objective{rank=\"0\"} -12\n"),
@@ -561,27 +569,21 @@ std::string bodyOf(const std::string& response) {
   return sep == std::string::npos ? std::string() : response.substr(sep + 4);
 }
 
-// Sum every `yewpar_<name>_total{...} value` line for one counter name
-// whose labels contain `label` (empty: every line of that name).
-std::uint64_t sumLabelled(const std::string& metrics, const std::string& name,
-                          const std::string& label) {
-  std::uint64_t sum = 0;
+// The values of every `<family>{...} value` line, in order: one per rank
+// when the body concatenates each rank's scrape.
+std::vector<std::uint64_t> scraped(const std::string& metrics,
+                                   const std::string& familyName) {
+  std::vector<std::uint64_t> values;
   std::istringstream lines(metrics);
   std::string line;
-  const std::string prefix = name + "{";
+  const std::string prefix = familyName + "{";
   while (std::getline(lines, line)) {
     if (line.rfind(prefix, 0) != 0) continue;
     const auto sp = line.find("} ");
     if (sp == std::string::npos) continue;
-    if (line.substr(0, sp).find(label) == std::string::npos) continue;
-    sum += std::strtoull(line.c_str() + sp + 2, nullptr, 10);
+    values.push_back(std::strtoull(line.c_str() + sp + 2, nullptr, 10));
   }
-  return sum;
-}
-
-std::uint64_t sumCounter(const std::string& metrics,
-                         const std::string& name) {
-  return sumLabelled(metrics, name, "");
+  return values;
 }
 
 }  // namespace
@@ -713,20 +715,19 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
     EXPECT_NE(statusBody.find("\"world\": 2"), std::string::npos);
 
     // The scrapes happened after both ranks published their final Sample,
-    // the one each rank's gather shipped: summing the per-rank exposition
-    // lines of both ports reproduces the final report exactly - including
-    // the transport counters, which a rank's gather reply itself bumps
-    // after its snapshot.
-    EXPECT_EQ(sumCounter(metricsBody, "yewpar_nodes_processed_total"),
-              res->metrics.nodesProcessed);
-    EXPECT_EQ(sumCounter(metricsBody, "yewpar_tasks_spawned_total"),
-              res->metrics.tasksSpawned);
-    EXPECT_EQ(sumCounter(metricsBody, "yewpar_network_messages_total"),
-              res->metrics.networkMessages);
-    EXPECT_EQ(sumCounter(metricsBody, "yewpar_network_bytes_total"),
-              res->metrics.networkBytes);
-    EXPECT_EQ(sumLabelled(metricsBody, "yewpar_steals_total", "kind=\"failed\""),
-              res->metrics.failedSteals);
+    // the one each rank's gather shipped: merging the per-rank exposition
+    // lines of both ports reproduces the final report exactly on every
+    // counter row - including the transport counters, which a rank's
+    // gather reply itself bumps after its snapshot. Sum rows add across
+    // ranks; the max row's merge keeps the larger.
+    for (const auto& c : kCounters) {
+      const auto values = scraped(metricsBody, family(c));
+      ASSERT_EQ(values.size(), 2u) << c.name;
+      const std::uint64_t merged = c.kind == Counter::kSum
+                                       ? values[0] + values[1]
+                                       : std::max(values[0], values[1]);
+      EXPECT_EQ(merged, res->metrics.*c.field) << c.name;
+    }
 
     // The outcome carries one phase snapshot per locality. Each worker's
     // phases must tile its own independently stamped wall (a gap means a
@@ -847,6 +848,131 @@ TEST(SamplerCsv, EmitsPerWorkerBusyIdleColumns) {
   // busy = working + popping + stealing (everything but idle).
   EXPECT_NE(text.find(",100,25,50,0\n"), std::string::npos);
   EXPECT_NE(text.find(",0,0,0,0\n"), std::string::npos);
+}
+
+// ---- the counter table -----------------------------------------------------
+
+namespace {
+
+// Row i holds 1000 + i and bucket b holds 5000 + b, so every value names
+// the one field it came from.
+MetricsSnapshot distinctSnapshot() {
+  MetricsSnapshot m;
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    m.*kCounters[i].field = 1000 + i;
+  }
+  for (std::size_t b = 0; b < m.netLatencyHist.size(); ++b) {
+    m.netLatencyHist[b] = 5000 + b;
+  }
+  return m;
+}
+
+std::size_t occurrences(const std::string& text, const std::string& what) {
+  std::size_t n = 0;
+  for (auto at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+std::vector<std::string> csvCells(const std::string& line) {
+  std::vector<std::string> cells;
+  std::istringstream in(line);
+  std::string cell;
+  while (std::getline(in, cell, ',')) cells.push_back(cell);
+  return cells;
+}
+
+}  // namespace
+
+TEST(CounterTable, EveryRowReachesEverySurface) {
+  // Each surface names every counter row once, under the row's one name,
+  // with that row's value.
+  statusd::RankStatus status;
+  status.sample.metrics = distinctSnapshot();
+  const std::vector<statusd::RankStatus> ranks{status};
+  const auto metrics = statusd::renderMetrics(ranks);
+  const auto json = statusd::renderStatusJson(ranks);
+  EXPECT_TRUE(validJson(json)) << json;
+
+  TempFile out("test_observability_counters");
+  telemetry::writeCsv(out.path, {status.sample});
+  std::istringstream csv(slurp(out.path));
+  std::string headerLine;
+  std::string rowLine;
+  std::getline(csv, headerLine);
+  std::getline(csv, rowLine);
+  const auto header = csvCells(headerLine);
+  const auto row = csvCells(rowLine);
+  ASSERT_EQ(header.size(), row.size());
+  EXPECT_EQ(headerLine.rfind("t_ms,rank,pool_depth,net_queued,"
+                             "net_queued_max_link,",
+                             0),
+            0u);
+
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    const auto& c = kCounters[i];
+    const std::string name = c.name;
+    const std::string value = std::to_string(1000 + i);
+    const std::string fam = family(c);
+    const char* type = c.kind == Counter::kSum ? "counter" : "gauge";
+    EXPECT_EQ(occurrences(metrics, "# TYPE " + fam + " " + type + "\n"), 1u)
+        << name;
+    EXPECT_EQ(occurrences(metrics, "\n" + fam + "{"), 1u) << name;
+    EXPECT_EQ(occurrences(metrics, "\n" + fam + "{rank=\"0\"} " + value +
+                                       "\n"),
+              1u)
+        << name;
+    EXPECT_EQ(occurrences(json, "\"" + name + "\": "), 1u) << name;
+    EXPECT_EQ(occurrences(json, "\"" + name + "\": " + value + ","), 1u)
+        << name;
+    EXPECT_EQ(std::count(header.begin(), header.end(), name), 1) << name;
+    const auto col = std::find(header.begin(), header.end(), name);
+    ASSERT_NE(col, header.end()) << name;
+    EXPECT_EQ(row[static_cast<std::size_t>(col - header.begin())], value)
+        << name;
+  }
+}
+
+TEST(CounterTable, WireOrderIsTheFieldOrder) {
+  // The gather's payload layout (wire::kPayloadLayoutVersion 3), written
+  // out field by field: a row moved in the table would change the wire
+  // without a layout bump, and fails here instead.
+  const auto m = distinctSnapshot();
+  OArchive expected;
+  expected << m.nodesProcessed << m.tasksSpawned << m.prunes << m.backtracks
+           << m.localSteals << m.remoteSteals << m.failedSteals
+           << m.stealReplies << m.boundBroadcasts << m.boundUpdatesApplied
+           << m.poolLockContentions << m.healthWarnings << m.networkMessages
+           << m.networkBytes << m.networkFrames << m.networkBatched
+           << m.networkImmediate << m.networkSpills << m.networkHeartbeats
+           << m.linkQueueHighWater;
+  for (auto b : m.netLatencyHist) expected << b;
+  const auto bytes = toBytes(m);
+  EXPECT_EQ(bytes, expected.bytes());
+
+  const auto back = fromBytes<MetricsSnapshot>(bytes);
+  for (const auto& c : kCounters) {
+    EXPECT_EQ(back.*c.field, m.*c.field) << c.name;
+  }
+  EXPECT_EQ(back.netLatencyHist, m.netLatencyHist);
+}
+
+TEST(CounterTable, MergeAddsSumRowsAndKeepsTheLargerMax) {
+  auto a = distinctSnapshot();
+  auto b = distinctSnapshot();
+  for (const auto& c : kCounters) b.*c.field += 1;
+  a += b;
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    const auto& c = kCounters[i];
+    const std::uint64_t v = 1000 + i;
+    EXPECT_EQ(a.*c.field, c.kind == Counter::kSum ? v + v + 1 : v + 1)
+        << c.name;
+  }
+  for (std::size_t k = 0; k < a.netLatencyHist.size(); ++k) {
+    EXPECT_EQ(a.netLatencyHist[k], 2 * (5000 + k));
+  }
 }
 
 // ---- wire fence -----------------------------------------------------------

@@ -412,7 +412,7 @@ TEST(TraceSampler, EngineRunWritesTelemetryCsv) {
     const auto text = slurp(path);
     EXPECT_EQ(text.find("t_ms,rank,pool_depth"), 0u) << path;
     // Each rank's last row is its final Sample, the one its gather shipped.
-    lastRowNodes += lastRowColumn(text, "nodes");
+    lastRowNodes += lastRowColumn(text, "nodes_processed");
   }
   EXPECT_EQ(lastRowNodes, res.metrics.nodesProcessed);
   std::remove(csv1.c_str());
