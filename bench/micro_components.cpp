@@ -118,7 +118,7 @@ void BM_WireFrameEncodeDecode(benchmark::State& state) {
   for (auto _ : state) {
     rt::wire::FrameHeader h;
     h.payloadLen = static_cast<std::uint32_t>(payload.size());
-    h.tag = static_cast<std::uint32_t>(rt::tag::kPoolStealReply);
+    h.tag = static_cast<std::uint32_t>(rt::tag::kStealReply);
     auto bytes = h.encode();
     auto back = rt::wire::FrameHeader::decode(bytes.data());
     benchmark::DoNotOptimize(back.payloadLen);

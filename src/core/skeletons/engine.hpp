@@ -238,7 +238,8 @@ class EngineCtx {
   // One rank's final results for rank 0's merge, shipped under
   // tag::kGatherReply by every other rank: its final telemetry Sample's
   // metrics (transport counters included) and phase profile, the
-  // enumeration accumulator, and the rank's best incumbent.
+  // enumeration accumulator, the rank's best incumbent and, under --trace,
+  // its trace batch (empty otherwise).
   struct GatherMsg {
     rt::MetricsSnapshot metrics;
     rt::prof::ProfileSnapshot profile;
@@ -247,14 +248,15 @@ class EngineCtx {
     std::uint8_t hasIncumbent = 0;
     Node incumbent{};
     std::int64_t objective = kObjMin;
+    rt::trace::Batch trace;
 
     void save(OArchive& a) const {
       a << metrics << profile << truncated << sum << hasIncumbent
-        << incumbent << objective;
+        << incumbent << objective << trace;
     }
     void load(IArchive& a) {
       a >> metrics >> profile >> truncated >> sum >> hasIncumbent >>
-          incumbent >> objective;
+          incumbent >> objective >> trace;
     }
   };
 
@@ -307,7 +309,7 @@ class EngineCtx {
     rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                       static_cast<std::uint64_t>(req.origin),
                       static_cast<std::uint64_t>(req.token));
-    locality_.send(req.origin, rt::tag::kStackStealReply,
+    locality_.send(req.origin, rt::tag::kStealReply,
                    toBytes(StealReply{req.token, std::move(tasks)}));
   }
 
@@ -317,10 +319,10 @@ class EngineCtx {
   static constexpr auto kStealTimeout = 5ms;
 
   // Thief side: a steal reply arrived (from either steal protocol; both
-  // share the single in-flight slot). Expiry and takeover semantics live in
-  // rt::StealSlot: exactly one thief wins an expired slot, and a stale
-  // reply's token no longer matches, so it cannot free the slot while the
-  // renewed request is outstanding.
+  // share the one reply tag and the single in-flight slot). Expiry and
+  // takeover semantics live in rt::StealSlot: exactly one thief wins an
+  // expired slot, and a stale reply's token no longer matches, so it cannot
+  // free the slot while the renewed request is outstanding.
   void onStealReply(rt::Message&& m) {
     const int victim = m.src;
     auto reply = fromBytes<StealReply>(std::move(m.payload));
@@ -375,15 +377,8 @@ class EngineCtx {
           rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                             static_cast<std::uint64_t>(m.src),
                             static_cast<std::uint64_t>(token));
-          locality_.send(m.src, rt::tag::kPoolStealReply, toBytes(reply));
+          locality_.send(m.src, rt::tag::kStealReply, toBytes(reply));
         });
-
-    // Reply to our pool-steal request: push the task locally (the idle
-    // worker's popWait picks it up).
-    locality_.registerHandler(rt::tag::kPoolStealReply, [this](
-                                                            rt::Message&& m) {
-      onStealReply(std::move(m));
-    });
 
     // A remote thief wants a stack steal: if any worker here is busy, queue
     // the request for a victim worker to answer mid-search; otherwise NACK
@@ -399,16 +394,17 @@ class EngineCtx {
             rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                               static_cast<std::uint64_t>(m.src),
                               static_cast<std::uint64_t>(token));
-            locality_.send(m.src, rt::tag::kStackStealReply,
+            locality_.send(m.src, rt::tag::kStealReply,
                            toBytes(StealReply{token, {}}));
           }
         });
 
-    // Stolen tasks arriving from a remote victim.
-    locality_.registerHandler(
-        rt::tag::kStackStealReply, [this](rt::Message&& m) {
-          onStealReply(std::move(m));
-        });
+    // Stolen tasks (or a NACK) arriving from a remote victim, for either
+    // steal protocol: the tasks go to the local pool, where the idle
+    // workers' popWait picks them up.
+    locality_.registerHandler(rt::tag::kStealReply, [this](rt::Message&& m) {
+      onStealReply(std::move(m));
+    });
   }
 
   Params params_;
@@ -574,11 +570,6 @@ struct Engine {
     rt::Mutex gatherMtx;
     std::condition_variable gatherCv;
     std::vector<GatherMsg> gathered;
-    // Each peer ships its trace batch right before its gather reply on the
-    // same FIFO link, so once every gather reply has arrived, so has every
-    // trace batch.
-    rt::Mutex traceMtx;
-    std::vector<rt::trace::Batch> traceBatches;
     if (p.rank == 0) {
       ctx.locality().registerHandler(
           rt::tag::kGatherReply, [&](rt::Message&& m) {
@@ -588,12 +579,6 @@ struct Engine {
               gathered.push_back(std::move(g));
             }
             gatherCv.notify_all();
-          });
-      ctx.locality().registerHandler(
-          rt::tag::kTraceData, [&](rt::Message&& m) {
-            auto b = fromBytes<rt::trace::Batch>(std::move(m.payload));
-            rt::LockGuard lock(traceMtx);
-            traceBatches.push_back(std::move(b));
           });
     }
 
@@ -703,24 +688,17 @@ struct Engine {
       gathered.push_back(finishRank(ctx, p, teamWallNanos));
       out = mergeGather(p, gathered, timer.elapsedSeconds());
       if (!p.traceFile.empty()) {
-        // Every kTraceData preceded its rank's kGatherReply on the same
-        // FIFO link, so the batches are all here. Combine each peer's
-        // handshake half-estimate (shipped in clockDeltaNanos) with our own
-        // for that peer: the symmetric one-way delays cancel, leaving the
-        // offset that maps the peer's steady clock onto ours (zero for
-        // simulated ranks, which share this process's clock).
+        // Combine each rank's handshake half-estimate (shipped in
+        // clockDeltaNanos) with our own for that rank: the symmetric
+        // one-way delays cancel, leaving the offset that maps its steady
+        // clock onto ours (zero for this rank and for simulated ranks,
+        // which share this process's clock).
         std::vector<rt::trace::Batch> batches;
-        {
-          rt::LockGuard lock(traceMtx);
-          batches = std::move(traceBatches);
-        }
-        for (auto& b : batches) {
+        for (auto& g : gathered) {
+          auto& b = batches.emplace_back(std::move(g.trace));
           b.clockDeltaNanos =
               (b.clockDeltaNanos - net.handshakeClockDeltaNanos(b.rank)) / 2;
         }
-        // Ranks sharing this process share one registry: collect only this
-        // rank's events so the merged file has no duplicates.
-        batches.push_back(rt::trace::session().collect(0));
         rt::trace::writeChromeJson(p.traceFile, batches);
       }
     } else {
@@ -728,15 +706,8 @@ struct Engine {
       // arrives is left undelivered, as at any rank's teardown. With the
       // manager stopped nothing on this rank sends behind the snapshot.
       ctx.locality().stop();
-      auto g = finishRank(ctx, p, teamWallNanos);
-      if (!p.traceFile.empty()) {
-        // Ship this rank's trace ahead of the gather reply on the same
-        // link; rank 0's manager processes them in order.
-        auto batch = rt::trace::session().collect(p.rank);
-        batch.clockDeltaNanos = net.handshakeClockDeltaNanos(0);
-        ctx.locality().send(0, rt::tag::kTraceData, toBytes(batch));
-      }
-      ctx.locality().send(0, rt::tag::kGatherReply, toBytes(g));
+      ctx.locality().send(0, rt::tag::kGatherReply,
+                          toBytes(finishRank(ctx, p, teamWallNanos)));
       net.flushAll();
       out.elapsedSeconds = timer.elapsedSeconds();
       out.isRoot = false;
@@ -839,11 +810,12 @@ struct Engine {
     return s;
   }
 
-  // Take this rank's final Sample and package it, with the rank's results,
-  // for rank 0's merge. Call once nothing on this rank sends any more: the
-  // flush frames out whatever is still buffered, so the transport counters
-  // split exactly (batched + immediate == messages). The same Sample ends
-  // the CSV and is what the status endpoint serves from now on.
+  // Take this rank's final Sample and package it, with the rank's results
+  // and trace batch, for rank 0's merge. Call once nothing on this rank
+  // sends any more: the flush frames out whatever is still buffered, so the
+  // transport counters split exactly (batched + immediate == messages). The
+  // same Sample ends the CSV and is what the status endpoint serves from
+  // now on.
   static GatherMsg finishRank(Ctx& ctx, const Params& p,
                               std::uint64_t teamWallNanos) {
     ctx.locality().network().flushAll();
@@ -858,6 +830,15 @@ struct Engine {
     GatherMsg g;
     g.metrics = fin.metrics;
     g.profile = fin.profile;
+    if (!p.traceFile.empty()) {
+      // Ranks sharing this process share one registry: collect only this
+      // rank's events so the merged file has no duplicates. The batch
+      // carries this rank's handshake half-estimate against rank 0 (zero
+      // on rank 0 itself) for rank 0 to complete.
+      g.trace = rt::trace::session().collect(p.rank);
+      g.trace.clockDeltaNanos =
+          ctx.locality().network().handshakeClockDeltaNanos(0);
+    }
     g.truncated = reg.truncated.load() ? 1 : 0;
     // Workers have joined, but the guarded fields are read under their
     // locks anyway: the discipline is uniform, and the locks are free.

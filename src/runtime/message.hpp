@@ -30,19 +30,23 @@ inline constexpr int kHeartbeat = 6;         // tcp: idle keep-alive, consumed
                                              // by the link itself
 inline constexpr int kBoundUpdate = 10;      // knowledge: broadcast bound
 inline constexpr int kPoolStealRequest = 11; // workpool: idle loc -> victim
-inline constexpr int kPoolStealReply = 12;   // workpool: task chunk or nack
+inline constexpr int kStealReply = 12;       // either steal: chunk or nack
 inline constexpr int kStackStealRequest = 13;// stack-stealing: remote steal
-inline constexpr int kStackStealReply = 14;  // stack-stealing: split chunk
-                                             // or nack
-// Both steal replies carry a StealReply payload whose task vector holds the
+// A steal reply carries a StealReply payload whose task vector holds the
 // whole chunk (Params::chunk policy), so a steal moves several tasks per
 // request/reply round-trip instead of one.
-inline constexpr int kSpaceBroadcast = 15;   // replicate the search space
-inline constexpr int kGatherRequest = 20;    // collect per-locality results
-inline constexpr int kGatherReply = 21;
+inline constexpr int kGatherReply = 21;      // per-rank results -> rank 0
 inline constexpr int kStopSearch = 22;       // decision short-circuit
-inline constexpr int kTraceData = 23;        // trace batch: rank i -> rank 0
 inline constexpr int kUser = 100;            // first tag free for tests/apps
+
+// Every tag above, in order: the list wire::protocolVersion() hashes, so a
+// tag added, removed or renumbered here fences off older builds.
+inline constexpr int kAll[] = {
+    kShutdownManager, kSnapshotRequest,   kSnapshotReply, kTerminate,
+    kBatchedFrame,    kHeartbeat,         kBoundUpdate,   kPoolStealRequest,
+    kStealReply,      kStackStealRequest, kGatherReply,   kStopSearch,
+    kUser,
+};
 }  // namespace tag
 
 }  // namespace yewpar::rt

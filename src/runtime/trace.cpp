@@ -172,58 +172,63 @@ Session& session() {
 
 namespace {
 
-const char* evName(Ev k) {
-  switch (k) {
-    case Ev::kTaskRunBegin:
-    case Ev::kTaskRunEnd:
-      return "task";
-    case Ev::kPoolPush:
-      return "pool-push";
-    case Ev::kPoolPop:
-      return "pool-pop";
-    case Ev::kStealRequest:
-      return "steal-request";
-    case Ev::kStealReply:
-      return "steal-reply";
-    case Ev::kStealFail:
-      return "steal-fail";
-    case Ev::kStealAnswer:
-      return "steal-answer";
-    case Ev::kLocalSteal:
-      return "local-steal";
-    case Ev::kLocalStealFail:
-      return "local-steal-fail";
-    case Ev::kLocalStealAnswer:
-      return "local-steal-answer";
-    case Ev::kBoundBroadcast:
-      return "bound-broadcast";
-    case Ev::kBoundApply:
-      return "bound-apply";
-    case Ev::kIncumbent:
-      return "incumbent";
-    case Ev::kTermProbe:
-      return "term-probe";
-    case Ev::kFrameSend:
-      return "frame-send";
-    case Ev::kFrameRecv:
-      return "frame-recv";
-    case Ev::kPeerDead:
-      return "peer-dead";
-    case Ev::kShardPush:
-      return "shard-push";
-    case Ev::kShardPop:
-      return "shard-pop";
-    case Ev::kShardSteal:
-      return "shard-steal";
-  }
-  return "event";
-}
+// The "ph" (phase) of each Shape, in Shape order.
+constexpr const char* kShapePhase[] = {
+    "\"ph\":\"B\"", "\"ph\":\"E\"", "\"ph\":\"C\"",
+    "\"ph\":\"i\",\"s\":\"t\"", "\"ph\":\"i\",\"s\":\"p\""};
+
+// The "ph" of each Flow role but kNone, in Flow order.
+constexpr const char* kFlowPhase[] = {
+    nullptr, "\"ph\":\"s\"", "\"ph\":\"t\"", "\"ph\":\"f\",\"bp\":\"e\""};
 
 // Flow ids tie a steal's request/answer/reply instants into one arrow. The
 // request token (a steal-slot timestamp) is unique per thief locality; the
 // thief's rank in the top bits separates concurrent thieves.
 std::uint64_t stealFlowId(std::uint64_t thiefRank, std::uint64_t token) {
   return ((thiefRank + 1) << 48) ^ (token & 0xFFFFFFFFFFFFull);
+}
+
+// One event as its row's shape. A counter belongs to the rank, not to a
+// thread, so it carries no tid.
+void writeEvent(std::FILE* f, const EventRow& row, const Event& e,
+                double tsUs) {
+  std::fprintf(f, "{%s,\"name\":\"%s\"",
+               kShapePhase[static_cast<int>(row.shape)], row.name);
+  if (row.category != nullptr) {
+    std::fprintf(f, ",\"cat\":\"%s\"", row.category);
+  }
+  std::fprintf(f, ",\"pid\":%d", e.rank);
+  if (row.shape != Shape::kCounter) {
+    std::fprintf(f, ",\"tid\":%u", static_cast<unsigned>(e.tid));
+  }
+  std::fprintf(f, ",\"ts\":%.3f", tsUs);
+  bool args = false;
+  for (const auto& [arg, v] : {std::pair{row.a, e.a}, std::pair{row.b, e.b}}) {
+    if (arg.name == nullptr) continue;
+    std::fputs(args ? "," : ",\"args\":{", f);
+    args = true;
+    if (arg.isSigned) {
+      std::fprintf(f, "\"%s\":%" PRId64, arg.name,
+                   static_cast<std::int64_t>(v));
+    } else {
+      std::fprintf(f, "\"%s\":%" PRIu64, arg.name, v);
+    }
+  }
+  std::fputs(args ? "}}" : "}", f);
+}
+
+// The event's step of its steal's flow arrow. Only the victim's answer
+// records the thief (arg a); every other step is recorded by the thief.
+void writeFlow(std::FILE* f, const EventRow& row, const Event& e,
+               double tsUs) {
+  const auto thief = row.flow == Flow::kStep
+                         ? e.a
+                         : static_cast<std::uint64_t>(e.rank);
+  std::fprintf(f,
+               "{%s,\"name\":\"steal\",\"cat\":\"steal\",\"id\":%" PRIu64
+               ",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
+               kFlowPhase[static_cast<int>(row.flow)], stealFlowId(thief, e.b),
+               e.rank, static_cast<unsigned>(e.tid), tsUs);
 }
 
 struct FilePtr {
@@ -313,142 +318,15 @@ void writeChromeJson(const std::string& path,
 
   for (const auto& adj : all) {
     const Event& e = *adj.ev;
+    // A kind this build has no row for (only a corrupt batch carries one).
+    if (e.kind == 0 || e.kind > std::size(kEvents)) continue;
+    const EventRow& row = kEvents[e.kind - 1];
     const double tsUs = static_cast<double>(adj.ts - t0) / 1000.0;
-    const auto kind = static_cast<Ev>(e.kind);
-    const int pid = e.rank;
-    const auto tid = static_cast<unsigned>(e.tid);
-    const char* name = evName(kind);
-    switch (kind) {
-      case Ev::kTaskRunBegin:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"B\",\"name\":\"%s\",\"cat\":\"task\","
-                     "\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"args\":{\"depth\":"
-                     "%" PRIu64 ",\"seq\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        break;
-      case Ev::kTaskRunEnd:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"E\",\"name\":\"%s\",\"cat\":\"task\","
-                     "\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                     name, pid, tid, tsUs);
-        break;
-      case Ev::kPoolPush:
-      case Ev::kPoolPop:
-        // The push/pop series renders as a per-rank pool-depth counter
-        // track: arg b is the pool size right after the operation.
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"C\",\"name\":\"pool depth\",\"pid\":%d,"
-                     "\"ts\":%.3f,\"args\":{\"depth\":%" PRIu64 "}}",
-                     pid, tsUs, e.b);
-        break;
-      case Ev::kStealRequest:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"steal\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"args\":"
-                     "{\"victim\":%" PRIu64 ",\"token\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"s\",\"name\":\"steal\",\"cat\":\"steal\","
-                     "\"id\":%" PRIu64 ",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                     stealFlowId(static_cast<std::uint64_t>(pid), e.b), pid,
-                     tid, tsUs);
-        break;
-      case Ev::kStealAnswer:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"steal\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"args\":"
-                     "{\"thief\":%" PRIu64 ",\"token\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"t\",\"name\":\"steal\",\"cat\":\"steal\","
-                     "\"id\":%" PRIu64 ",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                     stealFlowId(e.a, e.b), pid, tid, tsUs);
-        break;
-      case Ev::kStealReply:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"steal\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"args\":"
-                     "{\"tasks\":%" PRIu64 ",\"token\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"steal\",\"cat\":"
-                     "\"steal\",\"id\":%" PRIu64
-                     ",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                     stealFlowId(static_cast<std::uint64_t>(pid), e.b), pid,
-                     tid, tsUs);
-        break;
-      case Ev::kStealFail:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"steal\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"args\":"
-                     "{\"victim\":%" PRIu64 ",\"token\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"steal\",\"cat\":"
-                     "\"steal\",\"id\":%" PRIu64
-                     ",\"pid\":%d,\"tid\":%u,\"ts\":%.3f}",
-                     stealFlowId(static_cast<std::uint64_t>(pid), e.b), pid,
-                     tid, tsUs);
-        break;
-      case Ev::kBoundBroadcast:
-      case Ev::kBoundApply:
-      case Ev::kIncumbent:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"knowledge\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,"
-                     "\"args\":{\"value\":%" PRId64 "}}",
-                     name, pid, tid, tsUs, static_cast<std::int64_t>(e.a));
-        break;
-      case Ev::kTermProbe:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"termination\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,"
-                     "\"args\":{\"round\":%" PRIu64 ",\"outstanding\":%" PRId64
-                     "}}",
-                     name, pid, tid, tsUs, e.a,
-                     static_cast<std::int64_t>(e.b));
-        break;
-      case Ev::kFrameSend:
-      case Ev::kFrameRecv:
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"cat\":"
-                     "\"transport\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,"
-                     "\"args\":{\"peer\":%" PRIu64 ",\"size\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        break;
-      case Ev::kPeerDead:
-        // Process-scoped instant: a rank-failure verdict is about the whole
-        // job, not one thread's timeline.
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"p\",\"name\":\"%s\",\"cat\":"
-                     "\"transport\",\"pid\":%d,\"tid\":%u,\"ts\":%.3f,"
-                     "\"args\":{\"dead_rank\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a);
-        break;
-      default:
-        // Local steal events and anything future-added: generic instant.
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"pid\":%d,"
-                     "\"tid\":%u,\"ts\":%.3f,\"args\":{\"a\":%" PRIu64
-                     ",\"b\":%" PRIu64 "}}",
-                     name, pid, tid, tsUs, e.a, e.b);
-        break;
+    sep();
+    writeEvent(f, row, e, tsUs);
+    if (row.flow != Flow::kNone) {
+      sep();
+      writeFlow(f, row, e, tsUs);
     }
   }
 

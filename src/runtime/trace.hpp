@@ -22,13 +22,18 @@
 //
 // Timestamps are raw steady_clock nanoseconds. They are process-local, so a
 // multi-process (TCP) run aligns them at export time: every rank's batch
-// carries a clock-offset estimate derived from the transport handshake
-// (docs/ARCHITECTURE.md "Observability": clock alignment), and rank 0 merges
-// all batches into one Chrome trace_event JSON loadable in Perfetto or
-// chrome://tracing.
+// rides its gather reply with a clock-offset estimate derived from the
+// transport handshake (docs/ARCHITECTURE.md "Observability": clock
+// alignment), and rank 0 merges all batches into one Chrome trace_event JSON
+// loadable in Perfetto or chrome://tracing.
+//
+// One event table. A kind is an Ev value plus its row in kEvents, which
+// fixes its exported name, category, arg names, shape and steal-flow role;
+// the exporter reads nothing else about a kind.
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -36,32 +41,128 @@
 
 namespace yewpar::rt::trace {
 
-// Event taxonomy: the coordination lifecycle of a search, one kind per
-// protocol step. The two args are kind-specific (see each comment).
+// The coordination lifecycle of a search, one kind per protocol step. What
+// each kind's two args mean, and how it exports, is its row in kEvents.
 enum class Ev : std::uint16_t {
-  kTaskRunBegin = 1,    // a=task depth, b=task seq (opens a worker span)
-  kTaskRunEnd = 2,      // closes the span opened by kTaskRunBegin
-  kPoolPush = 3,        // a=task depth, b=pool size after the push
-  kPoolPop = 4,         // a=task depth, b=pool size after the pop
-  kStealRequest = 5,    // thief: a=victim locality, b=request token
-  kStealReply = 6,      // thief: a=tasks received (chunk size), b=token
-  kStealFail = 7,       // thief: a=victim locality, b=token (NACK/expiry)
-  kStealAnswer = 8,     // victim: a=thief locality, b=token
-  kLocalSteal = 9,      // thief worker: a=victim worker id, b=tasks moved
-  kLocalStealFail = 10, // thief worker: a=victim worker id
-  kLocalStealAnswer = 11,  // victim worker: a=worker id, b=tasks split off
-  kBoundBroadcast = 12,    // a=bound (i64 value cast to u64)
-  kBoundApply = 13,        // a=bound that strengthened the local bound
-  kIncumbent = 14,         // a=new incumbent objective
-  kTermProbe = 15,      // leader: a=round, b=outstanding (created-completed)
-  kFrameSend = 16,      // a=destination rank, b=messages in the frame
-  kFrameRecv = 17,      // a=source rank, b=payload bytes
-  kPeerDead = 18,       // a=rank declared dead (tcp failure detection)
-  kShardPush = 19,      // sharded pool: a=shard id, b=task seq
-  kShardPop = 20,       // sharded pool: a=shard id, b=task seq
-  kShardSteal = 21,     // sharded pool: a=shard id, b=task seq (per task in
-                        // a chunk; the chunk itself shows as kStealAnswer)
+  kTaskRunBegin = 1,
+  kTaskRunEnd,
+  kPoolPush,
+  kPoolPop,
+  kStealRequest,
+  kStealReply,
+  kStealFail,
+  kStealAnswer,
+  kLocalSteal,
+  kLocalStealFail,
+  kLocalStealAnswer,
+  kBoundBroadcast,
+  kBoundApply,
+  kIncumbent,
+  kTermProbe,
+  kFrameSend,
+  kFrameRecv,
+  kPeerDead,
+  kShardPush,
+  kShardPop,
+  kShardSteal,
+  kEnd,  // not a kind: one past the last, so the row check below counts to it
 };
+
+// How a kind exports as a Chrome trace_event.
+enum class Shape : std::uint8_t {
+  kSpanBegin,       // "B": opens a span on the thread's track
+  kSpanEnd,         // "E": closes the thread's open span
+  kCounter,         // "C": a value on the rank's counter track named `name`
+  kThreadInstant,   // "i" on the thread's track
+  kProcessInstant,  // "i" across the rank: a verdict about the whole job
+};
+
+// A kind's place in a remote steal's flow arrow. The arrow is keyed by the
+// thief's rank and the request token (arg b): the thief's request starts it,
+// the victim's answer (arg a = the thief) steps it, and the thief's reply or
+// fail ends it.
+enum class Flow : std::uint8_t { kNone, kStart, kStep, kEnd };
+
+struct Arg {
+  const char* name = nullptr;  // nullptr: recorded but not exported
+  bool isSigned = false;       // the u64 carries an i64 (cast back on export)
+};
+
+struct EventRow {
+  Ev kind;
+  const char* name;
+  const char* category;  // nullptr: no "cat"
+  Arg a;
+  Arg b;
+  Shape shape;
+  Flow flow;
+};
+
+// One row per Ev, in enum order: the kind's exported name and category, its
+// args, its shape and its steal-flow role.
+inline constexpr EventRow kEvents[] = {
+    {Ev::kTaskRunBegin, "task", "task", {"depth"}, {"seq"}, Shape::kSpanBegin,
+     Flow::kNone},
+    {Ev::kTaskRunEnd, "task", "task", {}, {}, Shape::kSpanEnd, Flow::kNone},
+    // a = the task's depth; b = the pool's size after the push or pop.
+    {Ev::kPoolPush, "pool depth", nullptr, {}, {"depth"}, Shape::kCounter,
+     Flow::kNone},
+    {Ev::kPoolPop, "pool depth", nullptr, {}, {"depth"}, Shape::kCounter,
+     Flow::kNone},
+    // Remote steals; the thief records request, reply and fail, the victim
+    // the answer. Reply's "tasks" is the chunk size; fail is a NACK or expiry.
+    {Ev::kStealRequest, "steal-request", "steal", {"victim"}, {"token"},
+     Shape::kThreadInstant, Flow::kStart},
+    {Ev::kStealReply, "steal-reply", "steal", {"tasks"}, {"token"},
+     Shape::kThreadInstant, Flow::kEnd},
+    {Ev::kStealFail, "steal-fail", "steal", {"victim"}, {"token"},
+     Shape::kThreadInstant, Flow::kEnd},
+    {Ev::kStealAnswer, "steal-answer", "steal", {"thief"}, {"token"},
+     Shape::kThreadInstant, Flow::kStep},
+    // Stack steals between one rank's workers (ids, not ranks); the thief
+    // worker records steal and fail, the victim worker the answer.
+    {Ev::kLocalSteal, "local-steal", "steal", {"victim"}, {"tasks"},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kLocalStealFail, "local-steal-fail", "steal", {"victim"}, {},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kLocalStealAnswer, "local-steal-answer", "steal", {"worker"},
+     {"tasks"}, Shape::kThreadInstant, Flow::kNone},
+    // Bound values: the broadcast one, one that strengthened the local
+    // bound, and a new incumbent's objective.
+    {Ev::kBoundBroadcast, "bound-broadcast", "knowledge", {"value", true}, {},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kBoundApply, "bound-apply", "knowledge", {"value", true}, {},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kIncumbent, "incumbent", "knowledge", {"value", true}, {},
+     Shape::kThreadInstant, Flow::kNone},
+    // The leader's probe: outstanding = tasks created - completed.
+    {Ev::kTermProbe, "term-probe", "termination", {"round"},
+     {"outstanding", true}, Shape::kThreadInstant, Flow::kNone},
+    // size: messages in a sent frame, payload bytes of a received one.
+    {Ev::kFrameSend, "frame-send", "transport", {"peer"}, {"size"},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kFrameRecv, "frame-recv", "transport", {"peer"}, {"size"},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kPeerDead, "peer-dead", "transport", {"dead_rank"}, {},
+     Shape::kProcessInstant, Flow::kNone},
+    // The ordered pool's shards; a steal records one shard-steal per task
+    // of its chunk, and the chunk itself shows as a steal-answer.
+    {Ev::kShardPush, "shard-push", "pool", {"shard"}, {"seq"},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kShardPop, "shard-pop", "pool", {"shard"}, {"seq"},
+     Shape::kThreadInstant, Flow::kNone},
+    {Ev::kShardSteal, "shard-steal", "pool", {"shard"}, {"seq"},
+     Shape::kThreadInstant, Flow::kNone},
+};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kEvents); ++i) {
+        if (kEvents[i].kind != static_cast<Ev>(i + 1)) return false;
+      }
+      return std::size(kEvents) + 1 == static_cast<std::size_t>(Ev::kEnd);
+    }(),
+    "kEvents needs one row per trace::Ev, in enum order");
 
 // One fixed-size binary record. Plain data; serialized field-by-field via
 // the hardened archive so batches survive the wire like any other payload.
@@ -103,8 +204,8 @@ inline void nameThread(const std::string& name) {
   detail::nameThreadSlow(name);
 }
 
-// Events harvested from one rank (or a whole process). This is what every
-// non-zero rank ships to rank 0 under tag::kTraceData.
+// Events harvested from one rank (or a whole process). Under --trace each
+// rank's GatherMsg carries its batch to rank 0's merge.
 struct Batch {
   std::int32_t rank = 0;
   // Clock-alignment scratch, in nanoseconds. On the wire (rank i -> 0) it

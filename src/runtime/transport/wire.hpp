@@ -9,7 +9,7 @@
 // Handshake (one per direction, once per connection):
 //   u32 magic     'Y','E','W','P' - rejects connections from arbitrary
 //                 services (or misdirected port numbers) immediately.
-//   u32 version   protocolVersion(): a hash of the rt::tag table. Two
+//   u32 version   protocolVersion(): a hash of rt::tag::kAll. Two
 //                 binaries whose message-tag vocabularies differ would
 //                 misparse each other's traffic; they must fail fast at
 //                 connect time with a clear error instead.
@@ -31,9 +31,10 @@
 // frame. Two tags are the link's own, never an application message:
 //   tag::kBatchedFrame  the payload is a batched-frame container holding
 //                       several logical messages (transport/shaping.hpp);
-//                       both tags sit in the protocolVersion() table, so a
-//                       build without the container format is fenced off at
-//                       handshake time rather than misparsing frames.
+//                       both tags sit in tag::kAll, which
+//                       protocolVersion() hashes, so a build without the
+//                       container format is fenced off at handshake time
+//                       rather than misparsing frames.
 //   tag::kHeartbeat     payloadLen 0; idle keep-alive for rank-failure
 //                       detection, consumed by the receiving link.
 
@@ -57,25 +58,16 @@ inline constexpr std::uint32_t kMaxFramePayload = 256u * 1024u * 1024u;
 // is what keeps mixed-build meshes refused at handshake time in that case.
 // History: 1 = pre-PR9 layouts; 2 = MetricsSnapshot.poolLockContentions;
 // 3 = GatherMsg.profile (per-worker phase accounting) +
-// MetricsSnapshot.healthWarnings.
-inline constexpr std::uint32_t kPayloadLayoutVersion = 3;
+// MetricsSnapshot.healthWarnings; 4 = GatherMsg.trace (the rank's trace
+// batch rides its gather reply).
+inline constexpr std::uint32_t kPayloadLayoutVersion = 4;
 
-// Protocol version, derived from the rt::tag table: FNV-1a over every tag
-// value in declaration order, plus kPayloadLayoutVersion. Adding, removing
-// or renumbering a message tag changes the version, so mixed-build meshes
-// are refused at handshake time.
+// Protocol version: FNV-1a over every tag::kAll value in order, plus
+// kPayloadLayoutVersion. Adding, removing or renumbering a message tag
+// changes the version, so mixed-build meshes are refused at handshake time.
 constexpr std::uint32_t protocolVersion() {
-  constexpr int tags[] = {
-      tag::kShutdownManager, tag::kSnapshotRequest, tag::kSnapshotReply,
-      tag::kTerminate,       tag::kBatchedFrame,    tag::kHeartbeat,
-      tag::kBoundUpdate,     tag::kPoolStealRequest,
-      tag::kPoolStealReply,  tag::kStackStealRequest,
-      tag::kStackStealReply, tag::kSpaceBroadcast,  tag::kGatherRequest,
-      tag::kGatherReply,     tag::kStopSearch,      tag::kTraceData,
-      tag::kUser,
-  };
   std::uint32_t h = 2166136261u;
-  for (int t : tags) {
+  for (int t : tag::kAll) {
     h = (h ^ static_cast<std::uint32_t>(t)) * 16777619u;
   }
   h = (h ^ kPayloadLayoutVersion) * 16777619u;

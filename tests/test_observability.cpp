@@ -20,7 +20,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -28,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/io.hpp"
 #include "common/json.hpp"
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
@@ -44,21 +44,6 @@ using namespace yewpar::testing;
 using namespace std::chrono_literals;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& stem)
-      : path(stem + "." + std::to_string(::getpid()) + ".tmp") {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
 
 // A counter row's /metrics family: yewpar_<name>_total for a sum,
 // yewpar_<name> for a max.
@@ -628,18 +613,6 @@ TEST(StatusServer, ServesAllThreeRoutesAndRejectsTheRest) {
 
 // ---- status endpoint: live engine run -------------------------------------
 
-namespace {
-
-std::uint16_t nextPortBase() {
-  static std::atomic<std::uint16_t> counter{0};
-  const auto pidSpread =
-      static_cast<std::uint16_t>((::getpid() * 37) % 12000);
-  return static_cast<std::uint16_t>(46000 + pidSpread +
-                                    counter.fetch_add(4));
-}
-
-}  // namespace
-
 TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
   // A 2-locality sim run lingers after the gather, each rank on its own
   // port (P + rank); the scrapes taken once both ranks' /status.json report
@@ -647,13 +620,13 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
   // that /metrics and the final report are two views of one set of
   // counters.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto port = nextPortBase();
+    const auto port = nextPortBase(46000, 4);
     Params p;
     p.nLocalities = 2;
     p.workersPerLocality = 2;
     p.dcutoff = 3;
     p.statusPort = port;
-    p.statusLingerMs = 4000;
+    p.statusLingerMs = 500;
     p.healthIntervalMs = 20;
 
     // Big enough (~350k nodes) that team wall dwarfs thread spawn/join
@@ -762,7 +735,7 @@ TEST(StatusServer, SimRankWithATakenPortAbortsTheRunNamingIt) {
   // and the run throws naming rank 1 - within seconds, never after the
   // gather timeout or a hang.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto port = nextPortBase();
+    const auto port = nextPortBase(46000, 4);
     statusd::StatusServer blocker;
     try {
       blocker.start(static_cast<std::uint16_t>(port + 1), fakeRanks);
@@ -936,7 +909,7 @@ TEST(CounterTable, EveryRowReachesEverySurface) {
 }
 
 TEST(CounterTable, WireOrderIsTheFieldOrder) {
-  // The gather's payload layout (wire::kPayloadLayoutVersion 3), written
+  // The gather's payload layout (wire::kPayloadLayoutVersion 4), written
   // out field by field: a row moved in the table would change the wire
   // without a layout bump, and fails here instead.
   const auto m = distinctSnapshot();
@@ -1018,15 +991,15 @@ struct SocketPair {
 }  // namespace
 
 TEST(Wire, PreProfileBuildIsRefusedAtHandshake) {
-  // The GatherMsg/MetricsSnapshot layouts are at revision 3 (per-worker
-  // phase profile); a revision-2 binary (same tag table) must be fenced
-  // off by the exchange every mesh connection opens with.
-  EXPECT_EQ(wire::kPayloadLayoutVersion, 3u);
-  ASSERT_NE(versionWithLayout(2), wire::protocolVersion());
+  // The GatherMsg/MetricsSnapshot layouts are at revision 4 (the trace
+  // batch rides GatherMsg); a revision-3 binary (same tag table) must be
+  // fenced off by the exchange every mesh connection opens with.
+  EXPECT_EQ(wire::kPayloadLayoutVersion, 4u);
+  ASSERT_NE(versionWithLayout(3), wire::protocolVersion());
 
   SocketPair sp;
   wire::Handshake h;
-  h.version = versionWithLayout(2);
+  h.version = versionWithLayout(3);
   h.world = 2;
   const auto bytes = h.encode();
   ASSERT_EQ(::send(sp.a, bytes.data(), bytes.size(), 0),

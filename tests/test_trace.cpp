@@ -1,18 +1,16 @@
 // The observability layer (docs/ARCHITECTURE.md "Observability"): per-thread
 // trace ring buffers (overflow-drop accounting, concurrent writers - the CI
-// TSan lane runs this suite), Chrome trace_event JSON export well-formedness,
-// the telemetry tick's start/stop contract and CSV, and a full 2-rank
-// loopback-TCP engine run whose merged trace on rank 0 must carry events
-// from BOTH ranks (`ctest -L net` selects it).
+// TSan lane runs this suite), Chrome trace_event JSON export well-formedness
+// and its exact text for one event of every kind, the telemetry tick's
+// start/stop contract and CSV, and a full 2-rank loopback-TCP engine run
+// whose merged trace on rank 0 must carry events from BOTH ranks
+// (`ctest -L net` selects it).
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +19,7 @@
 #include <vector>
 
 #include "apps/uts/uts.hpp"
+#include "common/io.hpp"
 #include "common/json.hpp"
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
@@ -32,27 +31,6 @@ using namespace yewpar;
 using namespace yewpar::rt;
 using namespace yewpar::testing;
 using namespace std::chrono_literals;
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-// Per-test output files, unique per process so parallel ctest runs of this
-// suite do not clobber each other; removed on scope exit.
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& stem)
-      : path(stem + "." + std::to_string(::getpid()) + ".tmp") {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
-
-}  // namespace
 
 // ---- ring buffers ---------------------------------------------------------
 
@@ -253,6 +231,118 @@ TEST(TraceJson, EmptyBatchListStillWritesAValidFile) {
   EXPECT_TRUE(validJson(slurp(out.path)));
 }
 
+namespace {
+
+// Two ranks' batches with one event of every kind: rank 1's clock reads
+// 2.5 us behind rank 0's, both ranks lost events to full buffers, and the
+// bound values are negative (a minimisation's negated costs). Rank 1's
+// first steal (token 777) is answered and replied; its second (778) fails.
+std::vector<trace::Batch> exportFixture() {
+  using trace::Ev;
+  const auto ev = [](std::uint64_t ts, Ev kind, std::uint16_t tid,
+                     std::int32_t rank, std::uint64_t a = 0,
+                     std::uint64_t b = 0) {
+    return trace::Event{ts, static_cast<std::uint16_t>(kind), tid, rank, a, b};
+  };
+  const auto i64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  trace::Batch r0;
+  r0.rank = 0;
+  r0.dropped = 2;
+  r0.threadNames = {{0, "L0.w0"}, {1, "L0.mgr"}, {2, "L0.term"},
+                    {3, "tcp.rx1"}};
+  r0.events = {
+      ev(1000000, Ev::kTaskRunBegin, 0, 0, 0, 0),
+      ev(1001250, Ev::kPoolPush, 0, 0, 1, 3),
+      ev(1002500, Ev::kIncumbent, 0, 0, i64(-7)),
+      ev(1003750, Ev::kBoundBroadcast, 0, 0, i64(-7)),
+      ev(1005000, Ev::kPoolPop, 0, 0, 1, 2),
+      ev(1010000, Ev::kStealAnswer, 1, 0, 1, 777),
+      ev(1011000, Ev::kFrameSend, 3, 0, 1, 2),
+      ev(1012000, Ev::kLocalStealAnswer, 0, 0, 0, 2),
+      ev(1020000, Ev::kTermProbe, 2, 0, 4, i64(-1)),
+      ev(1030000, Ev::kShardPush, 0, 0, 1, 41),
+      ev(1031000, Ev::kShardPop, 0, 0, 1, 41),
+      ev(1032000, Ev::kShardSteal, 1, 0, 0, 42),
+      ev(1040000, Ev::kPeerDead, 3, 0, 1),
+      ev(1050000, Ev::kTaskRunEnd, 0, 0),
+  };
+  trace::Batch r1;
+  r1.rank = 1;
+  r1.clockDeltaNanos = 2500;
+  r1.dropped = 3;
+  // Tid 3 recorded nothing, so it gets no track.
+  r1.threadNames = {{0, "L1.w0"}, {1, "L1.w1"}, {2, "L1.mgr"},
+                    {3, "L1.idle"}};
+  r1.events = {
+      ev(1005000, Ev::kStealRequest, 2, 1, 0, 777),
+      ev(1009000, Ev::kFrameRecv, 2, 1, 0, 96),
+      ev(1010000, Ev::kStealReply, 2, 1, 2, 777),
+      ev(1011000, Ev::kBoundApply, 2, 1, i64(-7)),
+      ev(1012000, Ev::kLocalSteal, 1, 1, 0, 1),
+      ev(1013000, Ev::kLocalStealFail, 0, 1, 1),
+      ev(1015000, Ev::kStealRequest, 2, 1, 0, 778),
+      ev(1016000, Ev::kStealFail, 2, 1, 0, 778),
+  };
+  return {r0, r1};
+}
+
+// exportFixture()'s export, byte for byte.
+constexpr const char* kFixtureJson = R"json({"traceEvents":[{"ph":"M","name":"process_name","pid":0,"args":{"name":"rank 0"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"L0.w0"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":1,"args":{"name":"L0.mgr"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":2,"args":{"name":"L0.term"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":3,"args":{"name":"tcp.rx1"}},
+{"ph":"M","name":"process_name","pid":1,"args":{"name":"rank 1"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"L1.w0"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"L1.w1"}},
+{"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"L1.mgr"}},
+{"ph":"B","name":"task","cat":"task","pid":0,"tid":0,"ts":0.000,"args":{"depth":0,"seq":0}},
+{"ph":"C","name":"pool depth","pid":0,"ts":1.250,"args":{"depth":3}},
+{"ph":"i","s":"t","name":"incumbent","cat":"knowledge","pid":0,"tid":0,"ts":2.500,"args":{"value":-7}},
+{"ph":"i","s":"t","name":"bound-broadcast","cat":"knowledge","pid":0,"tid":0,"ts":3.750,"args":{"value":-7}},
+{"ph":"C","name":"pool depth","pid":0,"ts":5.000,"args":{"depth":2}},
+{"ph":"i","s":"t","name":"steal-request","cat":"steal","pid":1,"tid":2,"ts":7.500,"args":{"victim":0,"token":777}},
+{"ph":"s","name":"steal","cat":"steal","id":562949953422089,"pid":1,"tid":2,"ts":7.500},
+{"ph":"i","s":"t","name":"steal-answer","cat":"steal","pid":0,"tid":1,"ts":10.000,"args":{"thief":1,"token":777}},
+{"ph":"t","name":"steal","cat":"steal","id":562949953422089,"pid":0,"tid":1,"ts":10.000},
+{"ph":"i","s":"t","name":"frame-send","cat":"transport","pid":0,"tid":3,"ts":11.000,"args":{"peer":1,"size":2}},
+{"ph":"i","s":"t","name":"frame-recv","cat":"transport","pid":1,"tid":2,"ts":11.500,"args":{"peer":0,"size":96}},
+{"ph":"i","s":"t","name":"local-steal-answer","cat":"steal","pid":0,"tid":0,"ts":12.000,"args":{"worker":0,"tasks":2}},
+{"ph":"i","s":"t","name":"steal-reply","cat":"steal","pid":1,"tid":2,"ts":12.500,"args":{"tasks":2,"token":777}},
+{"ph":"f","bp":"e","name":"steal","cat":"steal","id":562949953422089,"pid":1,"tid":2,"ts":12.500},
+{"ph":"i","s":"t","name":"bound-apply","cat":"knowledge","pid":1,"tid":2,"ts":13.500,"args":{"value":-7}},
+{"ph":"i","s":"t","name":"local-steal","cat":"steal","pid":1,"tid":1,"ts":14.500,"args":{"victim":0,"tasks":1}},
+{"ph":"i","s":"t","name":"local-steal-fail","cat":"steal","pid":1,"tid":0,"ts":15.500,"args":{"victim":1}},
+{"ph":"i","s":"t","name":"steal-request","cat":"steal","pid":1,"tid":2,"ts":17.500,"args":{"victim":0,"token":778}},
+{"ph":"s","name":"steal","cat":"steal","id":562949953422090,"pid":1,"tid":2,"ts":17.500},
+{"ph":"i","s":"t","name":"steal-fail","cat":"steal","pid":1,"tid":2,"ts":18.500,"args":{"victim":0,"token":778}},
+{"ph":"f","bp":"e","name":"steal","cat":"steal","id":562949953422090,"pid":1,"tid":2,"ts":18.500},
+{"ph":"i","s":"t","name":"term-probe","cat":"termination","pid":0,"tid":2,"ts":20.000,"args":{"round":4,"outstanding":-1}},
+{"ph":"i","s":"t","name":"shard-push","cat":"pool","pid":0,"tid":0,"ts":30.000,"args":{"shard":1,"seq":41}},
+{"ph":"i","s":"t","name":"shard-pop","cat":"pool","pid":0,"tid":0,"ts":31.000,"args":{"shard":1,"seq":41}},
+{"ph":"i","s":"t","name":"shard-steal","cat":"pool","pid":0,"tid":1,"ts":32.000,"args":{"shard":0,"seq":42}},
+{"ph":"i","s":"p","name":"peer-dead","cat":"transport","pid":0,"tid":3,"ts":40.000,"args":{"dead_rank":1}},
+{"ph":"E","name":"task","cat":"task","pid":0,"tid":0,"ts":50.000}],"displayTimeUnit":"ms","otherData":{"droppedEvents":5}}
+)json";
+
+}  // namespace
+
+TEST(TraceJson, EveryKindExportsAsItsRowSays) {
+  const auto batches = exportFixture();
+  for (const auto& row : trace::kEvents) {
+    EXPECT_TRUE(std::any_of(batches.begin(), batches.end(), [&](const auto& b) {
+      return std::any_of(b.events.begin(), b.events.end(), [&](const auto& e) {
+        return e.kind == static_cast<std::uint16_t>(row.kind);
+      });
+    })) << "the fixture has no " << row.name << " event";
+  }
+  TempFile out("test_trace_fixture");
+  trace::writeChromeJson(out.path, batches);
+  const auto text = slurp(out.path);
+  EXPECT_TRUE(validJson(text));
+  EXPECT_EQ(text, kFixtureJson);
+}
+
 TEST(TraceJson, SequentialRunIsOneWholeSearchSpan) {
   TempFile out("test_trace_seq");
   Params p;
@@ -420,18 +510,6 @@ TEST(TraceSampler, EngineRunWritesTelemetryCsv) {
 
 // ---- 2-rank TCP run: merged trace carries both ranks ----------------------
 
-namespace {
-
-std::uint16_t nextPortBase() {
-  static std::atomic<std::uint16_t> counter{0};
-  const auto pidSpread =
-      static_cast<std::uint16_t>((::getpid() * 41) % 12000);
-  return static_cast<std::uint16_t>(34000 + pidSpread +
-                                    counter.fetch_add(8));
-}
-
-}  // namespace
-
 TEST(TraceTcp, MergedTraceOnRankZeroCarriesBothRanks) {
   // Big enough that rank 1 reliably wins remote steals before the search
   // drains (~137k nodes, ~10ms); a tiny tree can finish before any steal
@@ -444,7 +522,7 @@ TEST(TraceTcp, MergedTraceOnRankZeroCarriesBothRanks) {
 
   TempFile out("test_trace_tcp");
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto base = nextPortBase();
+    const auto base = nextPortBase(34000, 8);
     std::vector<std::string> peers = {
         "127.0.0.1:" + std::to_string(base),
         "127.0.0.1:" + std::to_string(base + 1)};

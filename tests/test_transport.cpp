@@ -25,6 +25,7 @@
 
 #include "apps/cmst/cmst.hpp"
 #include "apps/uts/uts.hpp"
+#include "common/io.hpp"
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
 #include "runtime/locality.hpp"
@@ -57,11 +58,11 @@ TEST(Wire, HandshakeRoundTrip) {
 TEST(Wire, FrameHeaderRoundTrip) {
   wire::FrameHeader h;
   h.payloadLen = 123456;
-  h.tag = static_cast<std::uint32_t>(tag::kPoolStealReply);
+  h.tag = static_cast<std::uint32_t>(tag::kStealReply);
   const auto bytes = h.encode();
   const auto back = wire::FrameHeader::decode(bytes.data());
   EXPECT_EQ(back.payloadLen, 123456u);
-  EXPECT_EQ(back.tag, static_cast<std::uint32_t>(tag::kPoolStealReply));
+  EXPECT_EQ(back.tag, static_cast<std::uint32_t>(tag::kStealReply));
 }
 
 TEST(Wire, ProtocolVersionDerivesFromTagTable) {
@@ -385,16 +386,6 @@ TEST(MessageRoundTrip, GatherMsgIncumbent) {
 
 namespace {
 
-// Sequential port blocks per process so suites running in parallel ctest
-// invocations do not collide; retried on bind failure.
-std::uint16_t nextPortBase() {
-  static std::atomic<std::uint16_t> counter{0};
-  const auto pidSpread =
-      static_cast<std::uint16_t>((::getpid() * 37) % 12000);
-  return static_cast<std::uint16_t>(21000 + pidSpread +
-                                    counter.fetch_add(8));
-}
-
 std::vector<std::string> loopbackPeers(std::uint16_t base, int n) {
   std::vector<std::string> peers;
   for (int i = 0; i < n; ++i) {
@@ -408,7 +399,7 @@ std::vector<std::string> loopbackPeers(std::uint16_t base, int n) {
 std::vector<std::unique_ptr<TcpTransport>> makeMesh(
     int n, std::chrono::milliseconds peerTimeout = 30000ms) {
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto peers = loopbackPeers(nextPortBase(), n);
+    const auto peers = loopbackPeers(nextPortBase(21000, 8), n);
     std::vector<std::unique_ptr<TcpTransport>> mesh(
         static_cast<std::size_t>(n));
     std::vector<std::exception_ptr> errs(static_cast<std::size_t>(n));
@@ -536,13 +527,13 @@ TEST(TcpTransport, LoopbackStealRequestReplyCycleNoDeadlock) {
     reply.token = token;
     reply.tasks = {EnumEng::Task{SynthNode{1, 1}, 1, 0},
                    EnumEng::Task{SynthNode{1, 2}, 1, 0}};
-    victim.send(m.src, tag::kPoolStealReply, toBytes(reply));
+    victim.send(m.src, tag::kStealReply, toBytes(reply));
   });
 
   std::mutex mtx;
   std::condition_variable cv;
   std::vector<EnumEng::Task> stolen;
-  thief.registerHandler(tag::kPoolStealReply, [&](Message&& m) {
+  thief.registerHandler(tag::kStealReply, [&](Message&& m) {
     auto reply = fromBytes<EnumEng::Ctx::StealReply>(std::move(m.payload));
     EXPECT_EQ(reply.token, 42);
     std::lock_guard lock(mtx);
@@ -571,7 +562,7 @@ TEST(TcpTransport, ForeignConnectionDuringMeshFormationIsShruggedOff) {
   // the mesh forms must be closed and ignored, not abort the run. Only a
   // genuine peer with a mismatched version/world is fatal.
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto peers = loopbackPeers(nextPortBase(), 2);
+    const auto peers = loopbackPeers(nextPortBase(21000, 8), 2);
     std::unique_ptr<TcpTransport> t0;
     std::exception_ptr err0;
     std::thread th0([&] {
@@ -847,7 +838,7 @@ template <typename SearchFn>
 auto runTwoRanks(Params base, SearchFn search) {
   using Out = decltype(search(base));
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto peers = loopbackPeers(nextPortBase(), 2);
+    const auto peers = loopbackPeers(nextPortBase(21000, 8), 2);
     Out outs[2];
     std::exception_ptr errs[2];
     std::vector<std::thread> threads;
@@ -983,7 +974,7 @@ TEST(TcpEngine, KilledRankAbortsSurvivorNamingDeadRank) {
   const auto root = apps::uts::rootNode(tree);
 
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const auto peers = loopbackPeers(nextPortBase(), 2);
+    const auto peers = loopbackPeers(nextPortBase(21000, 8), 2);
 
     std::unique_ptr<TcpTransport> t1;
     std::exception_ptr err1;
