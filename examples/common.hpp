@@ -41,6 +41,7 @@ inline Params paramsFromFlags(const Flags& f) {
       {"netdelay", "--net-delay fixed:<us>"},
       {"chunked", "--chunk-policy all"},
       {"ordered-pool", "--ordered-shards 1 for one global heap"},
+      {"chunk-size", "--chunk-policy fixed:<k>"},
   };
   for (const auto& r : kRemovedFlags) {
     if (f.has(r.flag)) {
@@ -53,19 +54,9 @@ inline Params paramsFromFlags(const Flags& f) {
   p.workersPerLocality = static_cast<int>(f.getInt("workers", 1));
   p.dcutoff = static_cast<int>(f.getInt("d", 2));
   p.backtrackBudget = f.getUint64("b", 10000);
-  // --chunk-policy one|fixed[:k]|half|adaptive|all sizes every steal reply;
-  // --chunk-size k sets the fixed chunk size (and implies the fixed policy
-  // when no policy is given).
+  // --chunk-policy one|fixed[:k]|half|adaptive|all sizes every steal reply.
   if (auto spec = f.raw("chunk-policy")) {
     p.chunk = parseChunkPolicy(*spec);
-  }
-  if (f.has("chunk-size")) {
-    const auto k = f.getUint64("chunk-size", p.chunk.k);
-    if (k < 1 || k > 0xFFFFFFFFull) {
-      throw std::invalid_argument("--chunk-size needs 1 <= k <= 2^32-1");
-    }
-    if (!f.has("chunk-policy")) p.chunk.kind = ChunkKind::Fixed;
-    p.chunk.k = static_cast<std::uint32_t>(k);
   }
   p.decisionTarget = f.getInt("decisionBound", 0);
   // Ordered-skeleton pool shaping (docs/FLAGS.md): --ordered-window bounds

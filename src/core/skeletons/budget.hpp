@@ -24,11 +24,6 @@ struct Coord {
   static void executeTask(Ctx& ctx, WS& ws, typename Ctx::Task task) {
     detail::runTask<Gen>(ctx, ws, Hooks{}, task);
   }
-
-  template <typename Ctx, typename WS>
-  static void onIdle(Ctx& ctx, WS& ws) {
-    ctx.requestRemotePoolSteal(ws.rng);
-  }
 };
 
 }  // namespace budgetdetail

@@ -31,11 +31,6 @@ struct Coord {
     };
     detail::runTask<Gen>(ctx, ws, Hooks{ctx, ctx.params().dcutoff}, task);
   }
-
-  template <typename Ctx, typename WS>
-  static void onIdle(Ctx& ctx, WS& ws) {
-    ctx.requestRemotePoolSteal(ws.rng);
-  }
 };
 
 }  // namespace dbdetail

@@ -151,49 +151,17 @@ std::vector<typename Ctx::Task> splitLowest(Ctx&, std::vector<Gen>& genStack,
   return out;
 }
 
-// Answer one pending local steal request and one pending remote steal
-// request, if any (Listing 3 lines 6-13).
+// Answer one queued steal request, if any (Listing 3 lines 6-13): local and
+// remote thieves share the locality's queue, and whichever busy worker
+// reaches an expansion step first splits its stack for the request's thief.
 template <typename Ctx, typename WS, typename Gen>
 void pollStealRequests(Ctx& ctx, WS& ws, std::vector<Gen>& genStack,
                        int rootDepth) {
-  auto& metrics = ctx.reg().metrics;
-
-  const ChunkPolicy chunk = ctx.params().chunk;
-
-  if (ws.stealChan.hasRequest()) {
-    auto tasks = splitLowest(ctx, genStack, rootDepth, chunk);
-    if (tasks.empty()) {
-      (void)ws.stealChan.respond({});
-    } else {
-      const auto n = tasks.size();
-      // Count before the tasks become visible to the thief.
-      ctx.term().taskCreated(n);
-      metrics.tasksSpawned.fetch_add(n, std::memory_order_relaxed);
-      if (!ws.stealChan.respond(std::move(tasks))) {
-        // Thief withdrew; reintegrate the split-off work locally so no
-        // subtree is lost.
-        for (auto& t : tasks) {
-          const int d = t.depth;
-          ctx.pool().push(std::move(t), d);
-        }
-      } else {
-        metrics.localSteals.fetch_add(n, std::memory_order_relaxed);
-        metrics.stealReplies.fetch_add(1, std::memory_order_relaxed);
-        rt::trace::record(rt::trace::Ev::kLocalStealAnswer, ctx.id(),
-                          static_cast<std::uint64_t>(ws.id), n);
-      }
-    }
-  }
-
-  if (ctx.hasPendingRemoteSteal()) {
-    if (auto req = ctx.takePendingRemoteSteal()) {
-      auto tasks = splitLowest(ctx, genStack, rootDepth, chunk);
-      metrics.tasksSpawned.fetch_add(tasks.size(),
-                                     std::memory_order_relaxed);
-      // answerRemoteSteal counts non-empty replies as created; an empty
-      // reply NACKs so the thief's steal slot frees up.
-      ctx.answerRemoteSteal(*req, std::move(tasks));
-    }
+  if (!ctx.hasStealRequest()) return;
+  if (const auto req = ctx.takeStealRequest()) {
+    ctx.answerSteal(*req, ws.id, [&] {
+      return splitLowest(ctx, genStack, rootDepth, ctx.params().chunk);
+    });
   }
 }
 

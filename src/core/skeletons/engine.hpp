@@ -4,8 +4,9 @@
 //
 // The engine instantiates, per locality: a manager thread (message handling),
 // a team of worker threads, an order-preserving workpool, a knowledge
-// registry, and a termination detector. Each parallel coordination plugs a
-// hook set on dfs.hpp's one search loop, and an idle policy, into the shared
+// registry, a termination detector and a steal-request queue. Each parallel
+// coordination plugs a hook set on dfs.hpp's one search loop, and an idle
+// policy unless the default (a remote pool steal) suits it, into the shared
 // worker loop.
 //
 // Distributed-memory discipline: a locality touches another locality's state
@@ -76,11 +77,14 @@ class EngineCtx {
   using Task = EngineTask<Node>;
   static constexpr bool kPruneLevel = PruneLvl;
 
-  struct WorkerState {
+  // Cache-line aligned: each worker bumps its own acc on every node, and two
+  // workers' states sharing a line made a 3-worker UTS run ~1.5x slower.
+  struct alignas(64) WorkerState {
     int id = 0;
     Rng rng;
-    std::atomic<bool> busy{false};
-    rt::StealChannel<Task> stealChan;  // this worker as a steal victim
+    // This worker's stack-steal request is on the locality's queue; set by
+    // the worker, cleared by whoever answers it.
+    std::atomic<bool> stealRequested{false};
     typename Ops::WorkerAcc acc;
   };
 
@@ -165,13 +169,7 @@ class EngineCtx {
     if (reg_.stop.load(std::memory_order_relaxed)) return;
     reg_.metrics.tasksSpawned.fetch_add(1, std::memory_order_relaxed);
     term_.taskCreated();
-    int depth = task.depth;
-    pool_->push(std::move(task), depth, worker);
-    // pool_->size() takes the pool lock; only pay for it when tracing.
-    if (rt::trace::enabled()) {
-      rt::trace::record(rt::trace::Ev::kPoolPush, id(),
-                        static_cast<std::uint64_t>(depth), pool_->size());
-    }
+    push(std::move(task), worker);
   }
 
   // ---- knowledge -----------------------------------------------------
@@ -229,8 +227,9 @@ class EngineCtx {
     void load(IArchive& a) { a >> token >> tasks; }
   };
 
-  // A queued remote stack-steal request awaiting a victim worker.
-  struct PendingSteal {
+  // A stack-steal request awaiting a busy worker: a remote thief's rank and
+  // steal-slot token, or this rank and a local thief's worker id.
+  struct StealRequest {
     int origin = 0;
     std::int64_t token = 0;
   };
@@ -260,10 +259,11 @@ class EngineCtx {
     }
   };
 
-  // Ask a random remote locality's workpool for a task (Depth-Bounded /
-  // Budget idle path). At most one request in flight per locality; a stuck
-  // request expires after kStealTimeout.
-  void requestRemotePoolSteal(Rng& rng) {
+  // Ask a random remote locality for work: `tag` is kPoolStealRequest (its
+  // manager answers from the workpool) or kStackStealRequest (a busy worker
+  // there answers from its stack). At most one request in flight per
+  // locality; a stuck request expires after kStealTimeout.
+  void requestRemoteSteal(Rng& rng, int tag) {
     if (params_.nLocalities < 2) return;
     auto token = stealSlot_.tryAcquire();
     if (!token) return;
@@ -271,46 +271,76 @@ class EngineCtx {
     rt::trace::record(rt::trace::Ev::kStealRequest, id(),
                       static_cast<std::uint64_t>(victim),
                       static_cast<std::uint64_t>(*token));
-    locality_.send(victim, rt::tag::kPoolStealRequest, toBytes(*token));
+    locality_.send(victim, tag, toBytes(*token));
   }
 
-  // Ask a random remote locality for a stack steal (Stack-Stealing idle path
-  // when no local worker is busy).
-  void requestRemoteStackSteal(Rng& rng) {
-    if (params_.nLocalities < 2) return;
-    auto token = stealSlot_.tryAcquire();
-    if (!token) return;
-    const int victim = randomPeer(rng);
-    rt::trace::record(rt::trace::Ev::kStealRequest, id(),
-                      static_cast<std::uint64_t>(victim),
-                      static_cast<std::uint64_t>(*token));
-    locality_.send(victim, rt::tag::kStackStealRequest, toBytes(*token));
+  // Post worker `ws`'s stack-steal request on this locality's queue, for the
+  // first busy worker to reach an expansion step. At most one per worker is
+  // outstanding.
+  void requestLocalSteal(WorkerState& ws) {
+    if (ws.stealRequested.exchange(true)) return;
+    rt::trace::record(rt::trace::Ev::kLocalStealRequest, id(),
+                      static_cast<std::uint64_t>(ws.id));
+    postStealRequest({id(), ws.id});
   }
 
-  // Remote steal requests waiting to be answered by one of this locality's
-  // busy workers (the victims). The atomic count lets the search hot loop
+  // The one steal-request queue a Stack-Stealing victim answers, fed by
+  // local and remote thieves alike. The atomic count lets the search loop
   // skip the channel lock when nothing is pending.
-  bool hasPendingRemoteSteal() const {
-    return pendingRemoteCount_.load(std::memory_order_relaxed) > 0;
+  bool hasStealRequest() const {
+    return pendingSteals_.load(std::memory_order_relaxed) > 0;
   }
 
-  std::optional<PendingSteal> takePendingRemoteSteal() {
-    auto req = pendingRemoteSteals_.tryPop();
-    if (req) pendingRemoteCount_.fetch_sub(1, std::memory_order_relaxed);
+  std::optional<StealRequest> takeStealRequest() {
+    auto req = stealRequests_.tryPop();
+    if (req) pendingSteals_.fetch_sub(1, std::memory_order_relaxed);
     return req;
   }
 
-  // Victim side: send `tasks` (possibly empty = NACK) to `req.origin`,
-  // echoing the thief's request token.
-  void answerRemoteSteal(const PendingSteal& req, std::vector<Task> tasks) {
-    if (!tasks.empty()) {
-      term_.taskCreated(tasks.size());
+  // Victim side: worker `victim` answers `req`, which it took off the queue.
+  // `split()` yields the subtrees split off its generator stack (empty =
+  // nothing to give), counted created before any thief can see them:
+  //   * a remote thief gets them as a StealReply (empty = NACK);
+  //   * a local thief's go into this locality's pool, and its flag clears;
+  //   * a worker that took its own request splits nothing and only clears
+  //     its flag.
+  template <typename Split>
+  void answerSteal(const StealRequest& req, int victim, Split&& split) {
+    WorkerState* thief =
+        req.origin == id()
+            ? workers_[static_cast<std::size_t>(req.token)].get()
+            : nullptr;
+    if (thief != nullptr && thief->id == victim) {
+      thief->stealRequested.store(false);
+      return;
     }
-    rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
-                      static_cast<std::uint64_t>(req.origin),
-                      static_cast<std::uint64_t>(req.token));
-    locality_.send(req.origin, rt::tag::kStealReply,
-                   toBytes(StealReply{req.token, std::move(tasks)}));
+    std::vector<Task> tasks = split();
+    const auto n = tasks.size();
+    auto& metrics = reg_.metrics;
+    if (n > 0) {
+      metrics.tasksSpawned.fetch_add(n, std::memory_order_relaxed);
+      term_.taskCreated(n);
+    }
+    if (thief == nullptr) {
+      rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
+                        static_cast<std::uint64_t>(req.origin),
+                        static_cast<std::uint64_t>(req.token));
+      locality_.send(req.origin, rt::tag::kStealReply,
+                     toBytes(StealReply{req.token, std::move(tasks)}));
+      return;
+    }
+    if (n == 0) {
+      metrics.failedSteals.fetch_add(1, std::memory_order_relaxed);
+      rt::trace::record(rt::trace::Ev::kLocalStealFail, id(),
+                        static_cast<std::uint64_t>(victim));
+    } else {
+      metrics.localSteals.fetch_add(n, std::memory_order_relaxed);
+      metrics.stealReplies.fetch_add(1, std::memory_order_relaxed);
+      rt::trace::record(rt::trace::Ev::kLocalStealAnswer, id(),
+                        static_cast<std::uint64_t>(victim), n);
+      pushStolen(tasks);
+    }
+    thief->stealRequested.store(false);
   }
 
   std::atomic<int>& busyWorkers() { return busyWorkers_; }
@@ -339,14 +369,31 @@ class EngineCtx {
     reg_.metrics.stealReplies.fetch_add(1, std::memory_order_relaxed);
     rt::trace::record(rt::trace::Ev::kStealReply, id(), reply.tasks.size(),
                       static_cast<std::uint64_t>(reply.token));
-    for (auto& t : reply.tasks) {
-      int depth = t.depth;
-      pool_->push(std::move(t), depth);
-      if (rt::trace::enabled()) {
-        rt::trace::record(rt::trace::Ev::kPoolPush, id(),
-                          static_cast<std::uint64_t>(depth), pool_->size());
-      }
+    pushStolen(reply.tasks);
+  }
+
+  // Push one task into the pool under its depth, and trace it.
+  void push(Task task, int worker = -1) {
+    const int depth = task.depth;
+    pool_->push(std::move(task), depth, worker);
+    // pool_->size() takes the pool lock; only pay for it when tracing.
+    if (rt::trace::enabled()) {
+      rt::trace::record(rt::trace::Ev::kPoolPush, id(),
+                        static_cast<std::uint64_t>(depth), pool_->size());
     }
+  }
+
+  // Stolen tasks enter this locality's pool here, from a remote victim's
+  // reply or a local victim's split alike: the workpool is the transit
+  // buffer of Section 3.6, and the idle workers' popWait picks them up. The
+  // victim has already counted them created.
+  void pushStolen(std::vector<Task>& tasks) {
+    for (auto& t : tasks) push(std::move(t));
+  }
+
+  void postStealRequest(StealRequest req) {
+    pendingSteals_.fetch_add(1, std::memory_order_relaxed);
+    stealRequests_.push(req);
   }
 
   void registerHandlers() {
@@ -387,8 +434,7 @@ class EngineCtx {
         rt::tag::kStackStealRequest, [this](rt::Message&& m) {
           auto token = fromBytes<std::int64_t>(std::move(m.payload));
           if (busyWorkers_.load(std::memory_order_relaxed) > 0) {
-            pendingRemoteCount_.fetch_add(1, std::memory_order_relaxed);
-            pendingRemoteSteals_.push(PendingSteal{m.src, token});
+            postStealRequest({m.src, token});
           } else {
             // Immediate NACK: no busy worker to split a stack.
             rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
@@ -400,8 +446,7 @@ class EngineCtx {
         });
 
     // Stolen tasks (or a NACK) arriving from a remote victim, for either
-    // steal protocol: the tasks go to the local pool, where the idle
-    // workers' popWait picks them up.
+    // steal protocol.
     locality_.registerHandler(rt::tag::kStealReply, [this](rt::Message&& m) {
       onStealReply(std::move(m));
     });
@@ -415,8 +460,8 @@ class EngineCtx {
   Reg reg_;
   Space space_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  rt::Channel<PendingSteal> pendingRemoteSteals_;
-  std::atomic<int> pendingRemoteCount_{0};
+  rt::Channel<StealRequest> stealRequests_;
+  std::atomic<int> pendingSteals_{0};
   std::atomic<int> busyWorkers_{0};
   rt::StealSlot stealSlot_{kStealTimeout};
   rt::health::Rules health_;
@@ -426,7 +471,8 @@ class EngineCtx {
 
 // Generic engine, and every parallel skeleton's public type: Coordination
 // supplies executeTask() (one runTask call with its hook set, see dfs.hpp),
-// onIdle(), and optionally prepare(Params&).
+// and optionally onIdle() and prepare(Params&). Without an onIdle(), an
+// idle worker asks a random remote locality's workpool for work.
 template <typename Coordination, typename Gen, typename SearchType,
           typename... Opts>
 struct Engine {
@@ -753,13 +799,11 @@ struct Engine {
                             static_cast<std::uint64_t>(task->depth),
                             taskSeq++);
         }
-        ws.busy.store(true, std::memory_order_release);
         ctx.busyWorkers().fetch_add(1, std::memory_order_acq_rel);
         if (!ctx.stopped()) {
           Coordination::executeTask(ctx, ws, std::move(*task));
         }
         ctx.busyWorkers().fetch_sub(1, std::memory_order_acq_rel);
-        ws.busy.store(false, std::memory_order_release);
         if (traced) {
           rt::trace::record(rt::trace::Ev::kTaskRunEnd, ctx.id());
         }
@@ -768,7 +812,11 @@ struct Engine {
         continue;
       }
       pclock.lap(wp, rt::prof::Phase::kIdle);
-      Coordination::onIdle(ctx, ws);
+      if constexpr (requires { Coordination::onIdle(ctx, ws); }) {
+        Coordination::onIdle(ctx, ws);
+      } else {
+        ctx.requestRemoteSteal(ws.rng, rt::tag::kPoolStealRequest);
+      }
       pclock.lap(wp, rt::prof::Phase::kStealing);
     }
     // Close the tail interval (the final empty popWait / finish check), and

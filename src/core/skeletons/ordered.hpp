@@ -53,11 +53,6 @@ struct Coord {
     detail::runTask<Gen>(ctx, ws, Hooks{ctx, ctx.params().dcutoff}, task);
   }
 
-  template <typename Ctx, typename WS>
-  static void onIdle(Ctx& ctx, WS& ws) {
-    ctx.requestRemotePoolSteal(ws.rng);
-  }
-
   // The prefix needs at least one level to number a frontier.
   static void prepare(Params& params) {
     params.pool = rt::PoolPolicy::PrioritySharded;

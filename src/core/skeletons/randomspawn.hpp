@@ -36,11 +36,6 @@ struct Coord {
     };
     detail::runTask<Gen>(ctx, ws, Hooks{ctx, ws.rng}, task);
   }
-
-  template <typename Ctx, typename WS>
-  static void onIdle(Ctx& ctx, WS& ws) {
-    ctx.requestRemotePoolSteal(ws.rng);
-  }
 };
 
 }  // namespace rsdetail

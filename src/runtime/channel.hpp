@@ -1,26 +1,16 @@
 #pragma once
 
-// Thread-safe channels used inside a locality.
-//
-// Channel<T>       : unbounded MPMC queue (blocking pop with timeout).
-// StealChannel<T>  : one-slot request/response rendezvous between a thief and
-//                    a victim worker, implementing the "atomic channels
-//                    between thieves and victims" of Section 4.2. The victim
-//                    polls `hasRequest()` (a relaxed atomic load, cheap enough
-//                    to run on every search expansion step) and answers with
-//                    zero or more tasks.
+// Channel<T>: an unbounded MPMC queue used inside a locality. The engine's
+// steal-request queue is one (core/skeletons/engine.hpp): local and remote
+// thieves post to it, and busy Stack-Stealing workers poll it with
+// tryPop() behind an atomic count, so the search loop skips the lock when
+// nothing is queued.
 //
 // Lock discipline (compile-time checked, see util/thread_annotations.hpp):
-// each channel owns one mutex guarding its queue/response state; the
-// StealChannel additionally serializes competing thieves on thiefMtx_,
-// always acquired before mtx_.
+// one mutex guards the queue.
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "util/thread_annotations.hpp"
 
@@ -30,31 +20,12 @@ template <typename T>
 class Channel {
  public:
   void push(T v) EXCLUDES(mtx_) {
-    {
-      LockGuard lock(mtx_);
-      q_.push_back(std::move(v));
-    }
-    cv_.notify_one();
+    LockGuard lock(mtx_);
+    q_.push_back(std::move(v));
   }
 
   std::optional<T> tryPop() EXCLUDES(mtx_) {
     LockGuard lock(mtx_);
-    if (q_.empty()) return std::nullopt;
-    T v = std::move(q_.front());
-    q_.pop_front();
-    return v;
-  }
-
-  std::optional<T> popWait(std::chrono::microseconds timeout)
-      EXCLUDES(mtx_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    UniqueLock lock(mtx_);
-    while (q_.empty()) {
-      if (cv_.wait_until(lock.native(), deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
     if (q_.empty()) return std::nullopt;
     T v = std::move(q_.front());
     q_.pop_front();
@@ -70,83 +41,7 @@ class Channel {
 
  private:
   mutable Mutex mtx_;
-  std::condition_variable cv_;
   std::deque<T> q_ GUARDED_BY(mtx_);
-};
-
-// Single-outstanding-request steal rendezvous. Multiple thieves serialize on
-// the thief-side mutex; the victim only ever sees one pending request.
-template <typename T>
-class StealChannel {
- public:
-  // Victim fast path: is somebody asking for work? Safe to call concurrently
-  // with everything else; intended to be polled on every expansion.
-  bool hasRequest() const {
-    return requested_.load(std::memory_order_acquire);
-  }
-
-  // Victim: answer the pending request (possibly with an empty vector,
-  // meaning "no work to give"). Returns false - leaving `tasks` untouched -
-  // if the thief has withdrawn the request in the meantime; the victim must
-  // then reintegrate the split-off tasks itself (work must never be lost).
-  bool respond(std::vector<T>&& tasks) EXCLUDES(mtx_) {
-    LockGuard lock(mtx_);
-    if (!requested_.load(std::memory_order_relaxed)) return false;
-    response_ = std::move(tasks);
-    responded_ = true;
-    requested_.store(false, std::memory_order_release);
-    cv_.notify_all();
-    return true;
-  }
-
-  // Thief: post a request and wait for the victim's answer. Returns nothing
-  // on timeout (the request is withdrawn), when the victim had no work, or
-  // when another thief already holds the rendezvous.
-  std::optional<std::vector<T>> steal(std::chrono::microseconds timeout)
-      EXCLUDES(thiefMtx_, mtx_) {
-    if (!thiefMtx_.try_lock()) return std::nullopt;  // victim is busy with
-                                                     // another thief
-    auto out = stealExclusive(timeout);
-    thiefMtx_.unlock();
-    return out;
-  }
-
- private:
-  // The single thief holding thiefMtx_ runs the request/response cycle.
-  std::optional<std::vector<T>> stealExclusive(
-      std::chrono::microseconds timeout) REQUIRES(thiefMtx_)
-      EXCLUDES(mtx_) {
-    {
-      LockGuard lock(mtx_);
-      responded_ = false;
-      response_.clear();
-      requested_.store(true, std::memory_order_release);
-    }
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    UniqueLock lock(mtx_);
-    while (!responded_) {
-      if (cv_.wait_until(lock.native(), deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (!responded_) {
-      // Withdraw the request; respond() needs mtx_, so once we hold it the
-      // victim can no longer slip an answer in.
-      requested_.store(false, std::memory_order_release);
-      return std::nullopt;
-    }
-    responded_ = false;
-    if (response_.empty()) return std::nullopt;
-    return std::move(response_);
-  }
-
-  Mutex thiefMtx_ ACQUIRED_BEFORE(mtx_);
-  mutable Mutex mtx_;
-  std::condition_variable cv_;
-  std::atomic<bool> requested_{false};
-  bool responded_ GUARDED_BY(mtx_) = false;
-  std::vector<T> response_ GUARDED_BY(mtx_);
 };
 
 }  // namespace yewpar::rt

@@ -37,7 +37,7 @@ namespace yewpar::rt::prof {
 enum class Phase : std::uint8_t {
   kWorking = 0,   // executing a task (the useful fraction)
   kPopping = 1,   // popWait() spans that returned a task
-  kStealing = 2,  // Coordination::onIdle(): steal requests + rendezvous
+  kStealing = 2,  // the idle policy: posting or sending a steal request
   kIdle = 3,      // popWait() spans that timed out empty
   kManager = 4,   // manager thread: message-handler dispatch
 };

@@ -25,8 +25,11 @@
 //
 // Engine wiring (core/skeletons/engine.hpp): both remote steal protocols -
 // pool steals (kPoolStealRequest/Reply) and stack steals
-// (kStackStealRequest/Reply) - share one slot per locality, so a locality
-// never has more than one remote steal outstanding regardless of protocol.
+// (kStackStealRequest/Reply) - are sent by one function and share one slot
+// per locality, so a locality never has more than one remote steal
+// outstanding regardless of protocol. A stack-steal request between workers
+// of one locality takes no slot: it waits on that locality's steal-request
+// queue, at most one per worker, and its answer is a push into the pool.
 // The token travels inside StealReply{token, tasks} next to the chunk;
 // NACKs (empty chunks) release the slot the same way, so a refused steal
 // frees the thief to try another victim immediately. Expiry covers lost

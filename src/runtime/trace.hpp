@@ -52,7 +52,7 @@ enum class Ev : std::uint16_t {
   kStealReply,
   kStealFail,
   kStealAnswer,
-  kLocalSteal,
+  kLocalStealRequest,
   kLocalStealFail,
   kLocalStealAnswer,
   kBoundBroadcast,
@@ -119,11 +119,13 @@ inline constexpr EventRow kEvents[] = {
      Shape::kThreadInstant, Flow::kEnd},
     {Ev::kStealAnswer, "steal-answer", "steal", {"thief"}, {"token"},
      Shape::kThreadInstant, Flow::kStep},
-    // Stack steals between one rank's workers (ids, not ranks); the thief
-    // worker records steal and fail, the victim worker the answer.
-    {Ev::kLocalSteal, "local-steal", "steal", {"victim"}, {"tasks"},
+    // Stack steals between one rank's workers (ids, not ranks): the thief
+    // worker records its request as it posts it, and the victim worker that
+    // answers records the answer (its split went to the pool) or the fail
+    // (its split was empty).
+    {Ev::kLocalStealRequest, "local-steal-request", "steal", {"worker"}, {},
      Shape::kThreadInstant, Flow::kNone},
-    {Ev::kLocalStealFail, "local-steal-fail", "steal", {"victim"}, {},
+    {Ev::kLocalStealFail, "local-steal-fail", "steal", {"worker"}, {},
      Shape::kThreadInstant, Flow::kNone},
     {Ev::kLocalStealAnswer, "local-steal-answer", "steal", {"worker"},
      {"tasks"}, Shape::kThreadInstant, Flow::kNone},

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "../examples/common.hpp"
@@ -235,6 +236,23 @@ TEST(SpawnRules, FireAtTheirDepths) {
   }
 }
 
+// Stack-Stealing spawns nothing: every task but the root is a split a victim
+// handed to a thief, local or remote, and counted created as it did. The
+// tree is large enough (2.4M nodes) that local thieves get work even on a
+// loaded host.
+TEST(SpawnRules, EveryStackStealingTaskButTheRootIsAStolenSplit) {
+  SynthSpace space{3, 13};
+  for (const auto& [nLoc, workers] : {std::pair{1, 3}, std::pair{2, 2}}) {
+    const auto out = skeletons::StackStealing<SynthGen, Enum>::search(
+        parParams(nLoc, workers), space, SynthNode{});
+    const auto& m = out.metrics;
+    EXPECT_EQ(out.sum, completeTreeSize(3, 13)) << nLoc << "x" << workers;
+    EXPECT_GT(m.localSteals, 0u) << nLoc << "x" << workers;
+    EXPECT_EQ(m.tasksSpawned, 1 + m.localSteals + m.remoteSteals)
+        << nLoc << "x" << workers;
+  }
+}
+
 namespace {
 // The std::invalid_argument message `run` throws, or "" if it returns.
 template <typename Run>
@@ -279,6 +297,9 @@ TEST(ParamsFromFlags, RemovedFlagsNameTheirReplacement) {
   const std::string ordered = removed({"--ordered-pool", "global"});
   EXPECT_NE(ordered.find("--ordered-pool was removed"), std::string::npos);
   EXPECT_NE(ordered.find("--ordered-shards 1"), std::string::npos);
+  const std::string chunkSize = removed({"--chunk-size", "8"});
+  EXPECT_NE(chunkSize.find("--chunk-size was removed"), std::string::npos);
+  EXPECT_NE(chunkSize.find("use --chunk-policy fixed:<k>"), std::string::npos);
 }
 
 TEST(ParamsFromFlags, OrderedShardsOneRunsOneGlobalHeap) {

@@ -1,16 +1,13 @@
 // Cross-cutting integration tests: full configuration sweeps (skeleton x
 // localities x workers x pool policy), stale-knowledge correctness under
-// injected network latency, node-cap truncation, decision short-circuit
-// draining, and steal-channel stress.
+// injected network latency, node-cap truncation, and decision
+// short-circuit draining.
 
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "apps/maxclique/maxclique.hpp"
 #include "apps/uts/uts.hpp"
 #include "common/run_skeleton.hpp"
-#include "runtime/channel.hpp"
 
 using namespace yewpar;
 using namespace yewpar::apps;
@@ -155,44 +152,6 @@ TEST(DecisionDrain, EarlyStopStillTerminatesWithManyTasks) {
       mc::Gen, Decision, BoundFunction<&mc::upperBound>,
       PruneLevel>::search(p, g, mc::rootNode(g));
   EXPECT_TRUE(out.decided);
-}
-
-TEST(StealChannelStress, ManyThievesOneVictimLosesNoTasks) {
-  rt::StealChannel<int> chan;
-  std::atomic<bool> done{false};
-  std::atomic<int> delivered{0};
-  std::atomic<int> reintegrated{0};
-  constexpr int kTasks = 2000;
-
-  std::thread victim([&] {
-    for (int i = 0; i < kTasks; ++i) {
-      // Wait for a request, then answer with exactly one task.
-      while (!chan.hasRequest()) std::this_thread::yield();
-      std::vector<int> task{i};
-      if (!chan.respond(std::move(task))) {
-        reintegrated.fetch_add(1);
-      }
-    }
-    done.store(true);
-  });
-
-  std::vector<std::thread> thieves;
-  std::atomic<int> stolen{0};
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      using namespace std::chrono_literals;
-      while (!done.load()) {
-        if (auto got = chan.steal(100us)) {
-          stolen.fetch_add(static_cast<int>(got->size()));
-        }
-      }
-    });
-  }
-  victim.join();
-  for (auto& t : thieves) t.join();
-  delivered.store(stolen.load() + reintegrated.load());
-  // Every task was either delivered to a thief or kept by the victim.
-  EXPECT_EQ(delivered.load(), kTasks);
 }
 
 TEST(OrderedSkeleton, PrefixExpansionCountsEveryNodeOnce) {

@@ -278,8 +278,8 @@ std::vector<trace::Batch> exportFixture() {
       ev(1009000, Ev::kFrameRecv, 2, 1, 0, 96),
       ev(1010000, Ev::kStealReply, 2, 1, 2, 777),
       ev(1011000, Ev::kBoundApply, 2, 1, i64(-7)),
-      ev(1012000, Ev::kLocalSteal, 1, 1, 0, 1),
-      ev(1013000, Ev::kLocalStealFail, 0, 1, 1),
+      ev(1012000, Ev::kLocalStealRequest, 1, 1, 1),
+      ev(1013000, Ev::kLocalStealFail, 0, 1, 0),
       ev(1015000, Ev::kStealRequest, 2, 1, 0, 778),
       ev(1016000, Ev::kStealFail, 2, 1, 0, 778),
   };
@@ -311,8 +311,8 @@ constexpr const char* kFixtureJson = R"json({"traceEvents":[{"ph":"M","name":"pr
 {"ph":"i","s":"t","name":"steal-reply","cat":"steal","pid":1,"tid":2,"ts":12.500,"args":{"tasks":2,"token":777}},
 {"ph":"f","bp":"e","name":"steal","cat":"steal","id":562949953422089,"pid":1,"tid":2,"ts":12.500},
 {"ph":"i","s":"t","name":"bound-apply","cat":"knowledge","pid":1,"tid":2,"ts":13.500,"args":{"value":-7}},
-{"ph":"i","s":"t","name":"local-steal","cat":"steal","pid":1,"tid":1,"ts":14.500,"args":{"victim":0,"tasks":1}},
-{"ph":"i","s":"t","name":"local-steal-fail","cat":"steal","pid":1,"tid":0,"ts":15.500,"args":{"victim":1}},
+{"ph":"i","s":"t","name":"local-steal-request","cat":"steal","pid":1,"tid":1,"ts":14.500,"args":{"worker":1}},
+{"ph":"i","s":"t","name":"local-steal-fail","cat":"steal","pid":1,"tid":0,"ts":15.500,"args":{"worker":0}},
 {"ph":"i","s":"t","name":"steal-request","cat":"steal","pid":1,"tid":2,"ts":17.500,"args":{"victim":0,"token":778}},
 {"ph":"s","name":"steal","cat":"steal","id":562949953422090,"pid":1,"tid":2,"ts":17.500},
 {"ph":"i","s":"t","name":"steal-fail","cat":"steal","pid":1,"tid":2,"ts":18.500,"args":{"victim":0,"token":778}},
