@@ -62,10 +62,11 @@ void sweepPolicies(TablePrinter& table, const char* workload,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags f(argc, argv);
   const bool tiny = f.getBool("tiny");
   const int reps = static_cast<int>(f.getInt("reps", tiny ? 1 : 3));
+  f.rejectUnread();
 
   std::printf("== Ablation C: steal-reply chunking policies ==\n");
   std::printf("(policies size every steal reply; Steals counts successful "
@@ -154,4 +155,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

@@ -11,12 +11,14 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "util/flags.hpp"
 
 using namespace yewpar;
 using namespace yewpar::apps;
 using namespace yewpar::bench;
 
-int main() {
+int main(int argc, char** argv) try {
+  Flags(argc, argv).rejectUnread();  // this driver takes no flags
   std::printf("== Ablation B: bound-broadcast latency vs pruning ==\n\n");
 
   Graph g = gnp(180, 0.72, 61);
@@ -59,4 +61,7 @@ int main() {
               "termination-detection messages (everything rides the same "
               "network).\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

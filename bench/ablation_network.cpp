@@ -152,11 +152,12 @@ void sweepNet(TablePrinter& table, const char* workload,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags f(argc, argv);
   const bool tiny = f.getBool("tiny");
   const int reps = static_cast<int>(f.getInt("reps", tiny ? 1 : 3));
   const std::string only = f.getString("only", "");
+  f.rejectUnread();
 
   std::printf("== Ablation D: simulated-network batching, back-pressure, "
               "delay models ==\n");
@@ -363,4 +364,7 @@ int main(int argc, char** argv) {
     failed = true;
   }
   return failed ? 1 : 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

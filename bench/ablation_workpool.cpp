@@ -93,10 +93,11 @@ void sweepOrdered(TablePrinter& table, const char* workload, int reps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags f(argc, argv);
   const bool tiny = f.getBool("tiny");
   const int reps = static_cast<int>(f.getInt("reps", tiny ? 1 : 3));
+  f.rejectUnread();
 
   std::printf("== Ablation A: order-preserving workpool vs deques ==\n\n");
 
@@ -258,4 +259,7 @@ int main(int argc, char** argv) {
   std::printf("\nevery Ordered pool configuration matches the Sequential "
               "skeleton.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

@@ -17,12 +17,14 @@
 #include <thread>
 
 #include "common.hpp"
+#include "util/flags.hpp"
 
 using namespace yewpar;
 using namespace yewpar::apps;
 using namespace yewpar::bench;
 
-int main() {
+int main(int argc, char** argv) try {
+  Flags(argc, argv).rejectUnread();  // this driver takes no flags
   // Decision instance: does a 17-clique exist? (planted 16-clique makes the
   // answer "no", which forces full exploration like the H(4,4) instance's
   // unsatisfiable side.)
@@ -89,4 +91,7 @@ int main() {
               "localities; Depth-Bounded/Budget track closely, "
               "Stack-Stealing slightly behind at scale (Fig. 4 right).\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

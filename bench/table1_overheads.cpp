@@ -35,9 +35,10 @@ using namespace yewpar;
 using namespace yewpar::apps;
 using namespace yewpar::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Flags f(argc, argv);
   const bool tiny = f.getBool("tiny");
+  f.rejectUnread();
   const int reps = tiny ? 1 : 3;
   const int workers = std::max(2u, std::thread::hardware_concurrency());
 
@@ -130,4 +131,7 @@ int main(int argc, char** argv) {
                                          static_cast<long long>(s));
   std::printf("\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

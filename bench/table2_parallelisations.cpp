@@ -95,12 +95,13 @@ SweepRow sweep(Skel skel, double seqTime, RunFn&& runFn, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // --only <substring>: restrict to matching application rows (CI bench
   // smoke runs `--only CMST --tiny`); --tiny: smoke-test instance sizes.
   Flags flags(argc, argv);
   const std::string only = flags.getString("only", "");
   const bool tiny = flags.getBool("tiny");
+  flags.rejectUnread();
 
   std::printf("== Table 2: 21 alternate parallelisations ==\n");
   std::printf("(%d localities x %d workers; speedup vs Sequential skeleton; "
@@ -227,4 +228,7 @@ int main(int argc, char** argv) {
       "best for SIP and lowest-variance overall; worst-parameter runs "
       "can be slower than sequential.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "fatal: %s\n", e.what());
+  return 1;
 }

@@ -42,13 +42,15 @@ int main(int argc, char** argv) try {
   Params params = examples::paramsFromFlags(flags);
 
   auto inst = loadInstance(flags);
+  const bool decision = flags.has("maxcost");
+  const long budget = flags.getInt("maxcost", 0);
+  flags.rejectUnread();
   std::printf("cmst: %d vertices, %d edges, %zu conflict pairs\n", inst.n,
               inst.m(), inst.ca.size());
 
-  if (flags.has("maxcost")) {
+  if (decision) {
     // Decision: cost <= B maps to objective >= -B under the negated-cost
     // convention.
-    const auto budget = flags.getInt("maxcost", 0);
     params.decisionTarget = -budget;
     auto out = examples::searchWith<cmst::Gen, Decision,
                                     BoundFunction<&cmst::upperBound>>(

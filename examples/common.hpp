@@ -32,8 +32,8 @@ inline std::vector<std::string> splitPeers(const std::string& spec) {
 }
 
 inline Params paramsFromFlags(const Flags& f) {
-  // Flags ignores unknown keys, so a removed flag would otherwise be
-  // silently dropped from an old command line.
+  // A removed flag would otherwise fail only as unknown (rejectUnread):
+  // name its replacement.
   static constexpr struct {
     const char* flag;
     const char* replacement;
@@ -128,6 +128,9 @@ inline Params paramsFromFlags(const Flags& f) {
     } else if (transport != "sim") {
       throw std::invalid_argument("unknown --transport " + transport +
                                   " (expected sim|tcp)");
+    } else {
+      // Accepted and ignored under sim, as they always were.
+      for (const char* key : {"rank", "peers", "peer-timeout-ms"}) f.has(key);
     }
   }
   // Observability (docs/ARCHITECTURE.md "Observability"): --trace FILE arms

@@ -24,6 +24,7 @@ int main(int argc, char** argv) try {
 
   const auto n = static_cast<std::size_t>(flags.getInt("n", 150));
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
+  flags.rejectUnread();
   Graph g = gnp(n, 0.72, seed);
   g.sortByDegreeDesc();
   std::printf("graph: %zu vertices, %zu edges\n\n", g.size(), g.edgeCount());

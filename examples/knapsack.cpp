@@ -17,6 +17,7 @@ int main(int argc, char** argv) try {
 
   const auto n = static_cast<std::size_t>(flags.getInt("items", 36));
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
+  flags.rejectUnread();
   auto inst = ks::randomInstance(n, 100, 0.5, seed);
   std::printf("knapsack: %zu items, capacity %lld\n", inst.size(),
               static_cast<long long>(inst.capacity));

@@ -41,6 +41,7 @@ int main(int argc, char** argv) try {
   Params params = examples::paramsFromFlags(flags);
 
   Graph g = loadGraph(flags);
+  flags.rejectUnread();
   g.sortByDegreeDesc();  // static degree order (MCSa)
   std::printf("graph: %zu vertices, %zu edges, density %.2f\n", g.size(),
               g.edgeCount(), g.density());

@@ -18,6 +18,7 @@ int main(int argc, char** argv) try {
   Params params = examples::paramsFromFlags(flags);
 
   const auto maxGenus = static_cast<std::int32_t>(flags.getInt("genus", 12));
+  flags.rejectUnread();
   auto space = ns::makeSpace(maxGenus);
   std::printf("numerical semigroups up to genus %d\n", maxGenus);
 

@@ -23,6 +23,7 @@ int main(int argc, char** argv) try {
   Flags flags(argc, argv);
   const auto skeleton = flags.getString("skeleton", "depthbounded");
   Params params = examples::paramsFromFlags(flags);
+  flags.rejectUnread();
 
   Graph g = fig1Graph();
   const char* names = "abcdefgh";

@@ -30,6 +30,7 @@ int main(int argc, char** argv) try {
         flags.getDouble("p", 0.4),
         static_cast<std::size_t>(flags.getInt("kpattern", 8)), seed);
   }
+  flags.rejectUnread();
   std::printf("sip: pattern %zu vertices, target %zu vertices\n",
               inst.pattern.size(), inst.target.size());
 

@@ -17,6 +17,7 @@ int main(int argc, char** argv) try {
 
   const auto n = static_cast<std::int32_t>(flags.getInt("cities", 12));
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
+  flags.rejectUnread();
   auto inst = tsp::randomEuclidean(n, seed);
   std::printf("tsp: %d cities (seeded Euclidean)\n", inst.n);
 

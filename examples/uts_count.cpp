@@ -25,6 +25,7 @@ int main(int argc, char** argv) try {
   tree.q = flags.getDouble("q", 0.4);
   tree.m = static_cast<std::int32_t>(flags.getInt("m", 2));
   tree.seed = static_cast<std::uint64_t>(flags.getInt("seed", 42));
+  flags.rejectUnread();
 
   auto out = examples::searchWith<uts::Gen, Enumeration<CountByDepth>>(
       skeleton, params, tree, uts::rootNode(tree));

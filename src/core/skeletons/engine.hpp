@@ -150,6 +150,7 @@ class EngineCtx {
     s.lastProbeNanos = term_.lastProbeNanos();
     auto& m = s.metrics;
     m = reg_.metrics.snapshot();
+    m.tasksSpawned = term_.createdLocal();
     m.poolLockContentions = pool_->lockContentions();
     m.healthWarnings = health_.totalFirings();
     m += net.traffic();
@@ -167,7 +168,6 @@ class EngineCtx {
   // spreading it across shards is what removes the contention point.
   void spawn(Task task, int worker = -1) {
     if (reg_.stop.load(std::memory_order_relaxed)) return;
-    reg_.metrics.tasksSpawned.fetch_add(1, std::memory_order_relaxed);
     term_.taskCreated();
     push(std::move(task), worker);
   }
@@ -317,10 +317,7 @@ class EngineCtx {
     std::vector<Task> tasks = split();
     const auto n = tasks.size();
     auto& metrics = reg_.metrics;
-    if (n > 0) {
-      metrics.tasksSpawned.fetch_add(n, std::memory_order_relaxed);
-      term_.taskCreated(n);
-    }
+    if (n > 0) term_.taskCreated(n);
     if (thief == nullptr) {
       rt::trace::record(rt::trace::Ev::kStealAnswer, id(),
                         static_cast<std::uint64_t>(req.origin),
@@ -653,11 +650,14 @@ struct Engine {
     ctx.locality().start();
     if (p.rank == 0) {
       // Root task: count it before the leader starts polling, so the
-      // detector never observes the initial 0 == 0 state.
-      ctx.reg().metrics.tasksSpawned.fetch_add(1);
+      // detector never observes the initial 0 == 0 state. Rounds open only
+      // while this rank idles; a busy one never takes the pool lock.
       ctx.term().taskCreated();
       ctx.pool().push(Task{root, 0}, 0);
-      ctx.term().startLeader();
+      ctx.term().startLeader([&ctx] {
+        return ctx.busyWorkers().load(std::memory_order_relaxed) == 0 &&
+               ctx.pool().size() == 0;
+      });
     }
     ctx.tick().start([&ctx] { return ctx.sample(); });
 
@@ -672,7 +672,6 @@ struct Engine {
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
     ctx.tick().stop();  // health firing counts are final from here
-    ctx.term().stop();
 
     // A dead peer aborts the whole job: the failure callback already
     // drained the workers; fail naming the dead rank instead of exchanging
@@ -725,6 +724,7 @@ struct Engine {
               msg += " (peer died?)";
             }
           }
+          ctx.locality().stop();  // its handlers read this frame and ctx
           throw rt::TransportError(msg);
         }
       }
@@ -850,7 +850,9 @@ struct Engine {
       rs.name = rt::health::ruleName(rule);
       rs.enabled = params.healthIntervalMs > 0 &&
                    (rule != rt::health::Rule::kStalledIncumbent ||
-                    params.stallWarnMs > 0);
+                    params.stallWarnMs > 0) &&
+                   (rule != rt::health::Rule::kProbeLiveness ||
+                    params.rank == 0);
       rs.firing = ctx.health().firing(rule);
       rs.firings = ctx.health().firings(rule);
       s.rules.push_back(std::move(rs));

@@ -107,10 +107,11 @@ void Rules::evaluate(const telemetry::Sample& prev,
                 static_cast<std::uint64_t>(cfg_.stallWarn.count()));
   setFiring(Rule::kStalledIncumbent, stalled, now, buf);
 
-  // kProbeLiveness: the termination detector must keep probing while the
-  // search runs; silence means the leader (or the path to it) is wedged.
-  // The probe stamp races with the Sample's clock read (handlers stamp it
-  // live), so a stamp newer than `now` means "just probed", not 2^64 ms ago.
+  // kProbeLiveness, rank 0's rule: its termination leader stamps every
+  // closed round and every wake that finds rank 0 busy, so silence means
+  // rank 0 idles while its rounds stop closing. The stamp races with the
+  // Sample's clock read, so a stamp newer than `now` means "just probed".
+  if (rank_ != 0) return;
   const std::uint64_t probeRef =
       cur.lastProbeNanos != 0 ? cur.lastProbeNanos : *startNanos_;
   const std::uint64_t sinceNanos = now > probeRef ? now - probeRef : 0;

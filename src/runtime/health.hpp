@@ -34,7 +34,7 @@ enum class Rule : int {
   kStarvation = 0,        // a worker's idle fraction high for N windows
   kStealStorm = 1,        // failed-steal rate above threshold
   kStalledIncumbent = 2,  // incumbent unimproved for --stall-warn-ms
-  kProbeLiveness = 3,     // no termination-probe traffic for too long
+  kProbeLiveness = 3,     // rank 0 idle and its probe rounds not closing
 };
 inline constexpr int kNumRules = 4;
 
@@ -50,7 +50,7 @@ struct Config {
   // kStalledIncumbent: 0 disables the rule (there are satisfiable runs
   // whose first incumbent IS the optimum; only the caller knows the scale).
   std::chrono::milliseconds stallWarn{0};
-  // kProbeLiveness: max silence since the last termination-probe round.
+  // kProbeLiveness (rank 0 only): max silence from its termination leader.
   std::chrono::milliseconds probeStale{2000};
   // Minimum gap between two warnings from the same rule.
   std::chrono::milliseconds warnCooldown{5000};

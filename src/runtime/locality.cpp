@@ -1,6 +1,5 @@
 #include "runtime/locality.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "runtime/trace.hpp"
@@ -29,7 +28,6 @@ Locality::Handler Locality::findHandler(int tagId) {
 }
 
 void Locality::managerLoop() {
-  using namespace std::chrono_literals;
   // Formatted in place: gcc 12's -Wrestrict misfires at -O3 on the
   // "L" + std::to_string(id_) concatenation.
   char name[32];
@@ -38,7 +36,7 @@ void Locality::managerLoop() {
   while (true) {
     std::optional<Message> msg;
     try {
-      msg = net_.recvWait(id_, 500us);
+      msg = net_.recvWait(id_, wakeHook_ ? wakeHook_() : kMaxWait);
     } catch (const ArchiveError& e) {
       // The shaping layer decodes tag::kBatchedFrame containers inside
       // recvWait; a corrupt container must surface as a dropped frame,

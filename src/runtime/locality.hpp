@@ -9,6 +9,7 @@
 //     continuously seek and execute search tasks.
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -50,6 +51,13 @@ class Locality {
   // Call before start(); nullptr (the default) records nothing.
   void setManagerProfile(prof::WorkerProfile* p) { managerProf_ = p; }
 
+  // Runs on the manager thread before each wait for a message and returns
+  // how long that wait may last (kMaxWait without one). Set before start();
+  // locality 0's termination leader is the one user.
+  using WakeHook = std::function<std::chrono::microseconds()>;
+  void setWakeHook(WakeHook h) { wakeHook_ = std::move(h); }
+  static constexpr std::chrono::microseconds kMaxWait{500};
+
   // Launch the manager thread.
   void start();
 
@@ -81,6 +89,7 @@ class Locality {
   std::thread manager_;
   std::atomic<bool> running_{false};
   prof::WorkerProfile* managerProf_ = nullptr;  // set before start()
+  WakeHook wakeHook_;                           // set before start()
 };
 
 }  // namespace yewpar::rt

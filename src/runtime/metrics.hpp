@@ -41,7 +41,7 @@ inline std::uint64_t netLatencyBucketUpperMicros(int bucket) {
 
 struct MetricsSnapshot {
   std::uint64_t nodesProcessed = 0;
-  std::uint64_t tasksSpawned = 0;
+  std::uint64_t tasksSpawned = 0;  // the termination detector's created count
   std::uint64_t prunes = 0;
   std::uint64_t backtracks = 0;
   std::uint64_t localSteals = 0;   // tasks moved by local (in-locality) steals
@@ -188,7 +188,6 @@ inline void MetricsSnapshot::load(IArchive& a) {
 // Lock-free accumulation; workers of one locality share one instance.
 struct Metrics {
   std::atomic<std::uint64_t> nodesProcessed{0};
-  std::atomic<std::uint64_t> tasksSpawned{0};
   std::atomic<std::uint64_t> prunes{0};
   std::atomic<std::uint64_t> backtracks{0};
   std::atomic<std::uint64_t> localSteals{0};
@@ -201,7 +200,6 @@ struct Metrics {
   MetricsSnapshot snapshot() const {
     MetricsSnapshot s;
     s.nodesProcessed = nodesProcessed.load(std::memory_order_relaxed);
-    s.tasksSpawned = tasksSpawned.load(std::memory_order_relaxed);
     s.prunes = prunes.load(std::memory_order_relaxed);
     s.backtracks = backtracks.load(std::memory_order_relaxed);
     s.localSteals = localSteals.load(std::memory_order_relaxed);

@@ -48,7 +48,7 @@ struct Sample {
   std::uint64_t netQueued = 0;         // messages this rank has in flight
   std::uint64_t netQueuedMaxLink = 0;  // deepest single link/peer queue
   std::optional<std::int64_t> objective;  // incumbent; nullopt = none yet
-  // Steady-clock nanos of the last termination-probe activity; 0 = none.
+  // TerminationDetector::lastProbeNanos (rank 0 only); 0 = none.
   std::uint64_t lastProbeNanos = 0;
   // Coordination counters plus pool contentions, health firings and this
   // rank's transport counters: everything the gather ships.

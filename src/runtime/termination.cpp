@@ -1,7 +1,5 @@
 #include "runtime/termination.hpp"
 
-#include <chrono>
-
 #include "runtime/profile.hpp"
 #include "runtime/trace.hpp"
 #include "util/archive.hpp"
@@ -12,7 +10,6 @@ TerminationDetector::TerminationDetector(Locality& loc, int nLocalities)
     : loc_(loc), nLoc_(nLocalities) {
   // All localities: answer snapshot requests with current local counters.
   loc_.registerHandler(tag::kSnapshotRequest, [this](Message&& m) {
-    stampProbe();
     TermSnapshot req = fromBytes<TermSnapshot>(std::move(m.payload));
     TermSnapshot reply;
     reply.round = req.round;
@@ -26,103 +23,81 @@ TerminationDetector::TerminationDetector(Locality& loc, int nLocalities)
 
   // All localities: leader's decision.
   loc_.registerHandler(tag::kTerminate, [this](Message&&) {
-    stampProbe();
     finished_.store(true, std::memory_order_release);
   });
 
   if (loc_.id() == 0) {
     loc_.registerHandler(tag::kSnapshotReply, [this](Message&& m) {
       TermSnapshot s = fromBytes<TermSnapshot>(std::move(m.payload));
-      LockGuard lock(poll_.mtx);
-      if (static_cast<int>(s.round) != poll_.round) return;  // stale round
-      poll_.replies += 1;
-      poll_.sumCreated += s.created;
-      poll_.sumCompleted += s.completed;
-      poll_.cv.notify_all();
+      if (!roundOpen_ || s.round != round_) return;  // stale round
+      sumCreated_ += s.created;
+      sumCompleted_ += s.completed;
+      if (++replies_ == nLoc_ - 1) closeRound();
     });
+    loc_.setWakeHook([this] { return onWake(); });
   }
 }
 
-TerminationDetector::~TerminationDetector() { stop(); }
-
-void TerminationDetector::stampProbe() {
-  lastProbeNanos_.store(prof::nowNanos(), std::memory_order_relaxed);
-}
-
-void TerminationDetector::startLeader() {
+void TerminationDetector::startLeader(std::function<bool()> idle) {
   if (loc_.id() != 0) return;
-  leaderRunning_.store(true);
-  leaderThread_ = std::thread([this] { leaderLoop(); });
+  idle_ = std::move(idle);
+  armed_.store(true, std::memory_order_release);
 }
 
-void TerminationDetector::stop() {
-  if (leaderThread_.joinable()) {
-    leaderRunning_.store(false);
-    leaderThread_.join();
+std::chrono::microseconds TerminationDetector::onWake() {
+  if (!armed_.load(std::memory_order_acquire) || finished()) {
+    return Locality::kMaxWait;
+  }
+  if (roundOpen_) return kPacing;  // its last reply wakes the manager
+  const std::uint64_t now = prof::nowNanos();
+  if (now < nextRoundNanos_) {
+    return std::chrono::ceil<std::chrono::microseconds>(
+        std::chrono::nanoseconds(nextRoundNanos_ - now));
+  }
+  if (idle_ && !idle_()) {
+    // Termination cannot hold while locality 0 is busy, and a busy leader
+    // is a live one.
+    lastProbeNanos_.store(now, std::memory_order_relaxed);
+  } else {
+    openRound();
+  }
+  return kPacing;
+}
+
+void TerminationDetector::openRound() {
+  // Self-snapshot (completed before created, as in the request handler)
+  // plus a request to every peer.
+  ++round_;
+  roundOpen_ = true;
+  replies_ = 0;
+  sumCompleted_ = completed_.load(std::memory_order_acquire);
+  sumCreated_ = created_.load(std::memory_order_acquire);
+  if (nLoc_ == 1) return closeRound();
+  TermSnapshot req;
+  req.round = round_;
+  for (int dst = 1; dst < nLoc_; ++dst) {
+    loc_.send(dst, tag::kSnapshotRequest, toBytes(req));
   }
 }
 
-void TerminationDetector::leaderLoop() {
-  using namespace std::chrono_literals;
-  trace::nameThread("L0.term");
-  std::uint64_t prevCreated = ~std::uint64_t{0};
-  std::uint64_t prevCompleted = ~std::uint64_t{0};
-  int round = 0;
-
-  while (leaderRunning_.load() && !finished_.load()) {
-    ++round;
-    // Kick off a poll round: self-snapshot plus a request to every peer.
-    std::uint64_t sumCreated;
-    std::uint64_t sumCompleted;
-    {
-      LockGuard lock(poll_.mtx);
-      poll_.round = round;
-      poll_.replies = 0;
-      poll_.sumCompleted = completed_.load(std::memory_order_acquire);
-      poll_.sumCreated = created_.load(std::memory_order_acquire);
-    }
-    TermSnapshot req;
-    req.round = static_cast<std::uint64_t>(round);
+void TerminationDetector::closeRound() {
+  roundOpen_ = false;
+  const std::uint64_t now = prof::nowNanos();
+  lastProbeNanos_.store(now, std::memory_order_relaxed);
+  trace::record(trace::Ev::kTermProbe, loc_.id(), round_,
+                sumCreated_ - sumCompleted_);
+  if (sumCreated_ == sumCompleted_ && sumCreated_ > 0 &&
+      sumCreated_ == prevCreated_ && sumCompleted_ == prevCompleted_) {
+    // Two identical, quiescent rounds: declare global termination.
+    finished_.store(true, std::memory_order_release);
     for (int dst = 1; dst < nLoc_; ++dst) {
-      loc_.send(dst, tag::kSnapshotRequest, toBytes(req));
+      loc_.send(dst, tag::kTerminate, {});
     }
-    bool complete;
-    {
-      UniqueLock lock(poll_.mtx);
-      const auto deadline = std::chrono::steady_clock::now() + 50ms;
-      while (poll_.replies != nLoc_ - 1) {
-        if (poll_.cv.wait_until(lock.native(), deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      complete = poll_.replies == nLoc_ - 1;
-      sumCreated = poll_.sumCreated;
-      sumCompleted = poll_.sumCompleted;
-    }
-    if (!complete) {
-      // Lost replies (should not happen on this transport); retry round.
-      prevCreated = ~std::uint64_t{0};
-      continue;
-    }
-    stampProbe();
-    trace::record(trace::Ev::kTermProbe, loc_.id(),
-                  static_cast<std::uint64_t>(round),
-                  sumCreated - sumCompleted);
-
-    if (sumCreated == sumCompleted && sumCreated > 0 &&
-        sumCreated == prevCreated && sumCompleted == prevCompleted) {
-      // Two identical, quiescent polls: declare global termination.
-      finished_.store(true, std::memory_order_release);
-      for (int dst = 1; dst < nLoc_; ++dst) {
-        loc_.send(dst, tag::kTerminate, {});
-      }
-      return;
-    }
-    prevCreated = sumCreated;
-    prevCompleted = sumCompleted;
-    std::this_thread::sleep_for(200us);
+    return;
   }
+  prevCreated_ = sumCreated_;
+  prevCompleted_ = sumCompleted_;
+  nextRoundNanos_ = now + std::chrono::nanoseconds(kPacing).count();
 }
 
 }  // namespace yewpar::rt

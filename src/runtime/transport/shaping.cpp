@@ -289,19 +289,13 @@ void ShapedTransport::flushLocked(Link& l, Clock::time_point now,
 void ShapedTransport::send(Message m) {
   assert(m.src >= 0 && m.src < n_ && m.dst >= 0 && m.dst < n_);
   const int dst = m.dst;
-  Link& l = link(m.src, dst);
   if (m.src == dst) {
-    // Loopback (e.g. the manager shutdown nudge): no batching, no cap - it
-    // must arrive even on a congested fabric.
-    l.messages.fetch_add(1, std::memory_order_relaxed);
-    l.bytes.fetch_add(m.payload.size(), std::memory_order_relaxed);
-    l.frames.fetch_add(1, std::memory_order_relaxed);
-    l.immediate.fetch_add(1, std::memory_order_relaxed);
-    trace::record(trace::Ev::kFrameSend, l.src,
-                  static_cast<std::uint64_t>(l.dst), 1);
+    // Loopback (the manager shutdown nudge): no batching, no cap - it must
+    // arrive even on a congested fabric - and no link to count or trace.
     inner_.send(std::move(m));
     return;
   }
+  Link& l = link(m.src, dst);
   const auto now = Clock::now();
   LockGuard lock(l.mtx);
   l.messages.fetch_add(1, std::memory_order_relaxed);

@@ -32,7 +32,7 @@
 //     No layer under the shaper counts any of them again.
 //
 // Self-sends (src == dst, e.g. the manager shutdown nudge) are loopback:
-// they bypass batching and the cap and go straight to the inner transport.
+// uncounted, they bypass batching and the cap to the inner transport.
 //
 // Receivers drive the clock: tryRecv/recvWait flush overdue batches and
 // promote spilled messages on the links adjacent to their locality (both

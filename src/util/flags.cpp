@@ -13,6 +13,10 @@ bool isFlag(const std::string& s) {
                             s[1] == '.'));
 }
 
+std::string flagName(const std::string& key) {
+  return (key.size() == 1 ? "-" : "--") + key;
+}
+
 std::string stripDashes(const std::string& s) {
   std::size_t i = 0;
   while (i < s.size() && s[i] == '-') ++i;
@@ -29,8 +33,8 @@ T parseWhole(const std::string& key, const std::string& value,
   const char* last = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), last, out);
   if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument((key.size() == 1 ? "-" : "--") + key +
-                                " needs " + what + ", got '" + value + "'");
+    throw std::invalid_argument(flagName(key) + " needs " + what + ", got '" +
+                                value + "'");
   }
   return out;
 }
@@ -58,9 +62,10 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-bool Flags::has(const std::string& key) const { return kv_.count(key) != 0; }
+bool Flags::has(const std::string& key) const { return raw(key).has_value(); }
 
 std::optional<std::string> Flags::raw(const std::string& key) const {
+  read_.insert(key);
   auto it = kv_.find(key);
   if (it == kv_.end()) return std::nullopt;
   return it->second;
@@ -93,6 +98,15 @@ bool Flags::getBool(const std::string& key, bool dflt) const {
   auto v = raw(key);
   if (!v) return dflt;
   return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void Flags::rejectUnread() const {
+  std::string unread;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) != 0) continue;
+    unread += (unread.empty() ? "" : ", ") + flagName(key);
+  }
+  if (!unread.empty()) throw std::invalid_argument("unknown flag " + unread);
 }
 
 }  // namespace yewpar

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,9 +34,15 @@ class Flags {
   // Non-flag positional arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // Throws std::invalid_argument naming every flag given but never read by
+  // has(), raw() or a getter (all go through raw()): a misspelt flag must
+  // not run a different search. Call once every flag has been read.
+  void rejectUnread() const;
+
  private:
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace yewpar

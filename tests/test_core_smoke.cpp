@@ -311,6 +311,14 @@ TEST(ParamsFromFlags, OrderedShardsOneRunsOneGlobalHeap) {
   EXPECT_EQ(out.sum, completeTreeSize(3, 5));
 }
 
+TEST(ParamsFromFlags, TcpOnlyFlagsStayAcceptedUnderSim) {
+  const char* argv[] = {"prog",   "--rank", "1", "--peers", "a:1,b:2",
+                        "--peer-timeout-ms", "5"};
+  Flags f(7, argv);
+  EXPECT_EQ(examples::paramsFromFlags(f).transport, TransportKind::Sim);
+  EXPECT_EQ(rejection([&] { f.rejectUnread(); }), "");
+}
+
 TEST(ParamsFromFlags, MalformedWorkersIsRejected) {
   for (const char* bad : {"abc", "2x", ""}) {
     EXPECT_NE(rejection([&] { paramsFrom({"--workers", bad}); })

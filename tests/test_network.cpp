@@ -441,8 +441,21 @@ TEST(NetworkEngine, SaturatedLinksNeverDeadlockStealCycles) {
   EXPECT_EQ(out.metrics.linkQueueHighWater, 1u);
   // Back-pressure must actually have engaged, or this test stops covering
   // the shed-to-spill path: with 1-deep links holding each message for
-  // 100us, the termination detector's snapshot rounds alone overlap.
+  // 100us, three localities' steal requests and replies overlap.
   EXPECT_GT(out.metrics.networkSpills, 0u);
+}
+
+TEST(NetworkEngine, OneLocalityRunCountsNoTraffic) {
+  // A one-locality run crosses no link. Stopping its manager sends itself a
+  // shutdown nudge, which is loopback: neither counted nor traced.
+  SynthSpace space{3, 5};
+  Params p;
+  p.workersPerLocality = 2;
+  auto out = runSkeleton<SynthGen, Enumeration<CountAll>>(
+      Skel::DepthBounded, p, space, SynthNode{});
+  EXPECT_EQ(out.sum, completeTreeSize(3, 5));
+  EXPECT_EQ(out.metrics.networkMessages, 0u);
+  EXPECT_EQ(out.metrics.networkFrames, 0u);
 }
 
 TEST(NetworkEngine, MetricsExposeTransportBehaviour) {

@@ -369,6 +369,14 @@ TEST(HealthRules, ProbeLivenessFiresPastItsThreshold) {
   EXPECT_FALSE(fresh.firing(health::Rule::kProbeLiveness));
   never.step(fresh, false, none);
   EXPECT_TRUE(fresh.firing(health::Rule::kProbeLiveness));
+
+  // It is rank 0's rule: only rank 0 runs the termination leader that
+  // stamps, so another rank's silence is no symptom.
+  health::Rules rank1(cfg, 1);
+  Seq quiet;
+  for (int i = 0; i < 10; ++i) quiet.step(rank1, false, none);
+  EXPECT_FALSE(rank1.firing(health::Rule::kProbeLiveness));
+  EXPECT_EQ(rank1.totalFirings(), 0u);
 }
 
 TEST(HealthRules, RuleClearsSilently) {
@@ -650,6 +658,7 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
     // Poll until both ranks report the search inactive, which each does
     // only once its worker team has joined and its counters are final.
     std::string statusBody;  // rank 0's
+    std::string rank1Status;
     bool quiesced = false;
     const auto deadline = std::chrono::steady_clock::now() + 15s;
     while (!quiesced && std::chrono::steady_clock::now() < deadline) {
@@ -661,7 +670,7 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
                    resp->find("200 OK") != std::string::npos &&
                    bodyOf(*resp).find("\"search_active\": false") !=
                        std::string::npos;
-        if (quiesced && rank == 0) statusBody = bodyOf(*resp);
+        if (quiesced) (rank == 0 ? statusBody : rank1Status) = bodyOf(*resp);
       }
       if (!quiesced) std::this_thread::sleep_for(10ms);
     }
@@ -686,6 +695,12 @@ TEST(StatusServer, LiveSimRunServesTheFinalGatherTotals) {
         << "status endpoint never reported the search finished";
     EXPECT_TRUE(validJson(statusBody)) << statusBody;
     EXPECT_NE(statusBody.find("\"world\": 2"), std::string::npos);
+    // Probe-liveness is rank 0's rule: rank 1 shows it disabled.
+    const std::string probeRule =
+        "\"rule\": \"probe-liveness\", \"enabled\": ";
+    EXPECT_NE(statusBody.find(probeRule + "true"), std::string::npos);
+    EXPECT_NE(rank1Status.find(probeRule + "false"), std::string::npos)
+        << rank1Status;
 
     // The scrapes happened after both ranks published their final Sample,
     // the one each rank's gather shipped: merging the per-rank exposition
@@ -821,6 +836,28 @@ TEST(SamplerCsv, EmitsPerWorkerBusyIdleColumns) {
   // busy = working + popping + stealing (everything but idle).
   EXPECT_NE(text.find(",100,25,50,0\n"), std::string::npos);
   EXPECT_NE(text.find(",0,0,0,0\n"), std::string::npos);
+}
+
+TEST(SamplerCsv, UnwritableRankCsvFailsTheRunNamingRankAndPath) {
+  // Rank 1 cannot write its CSV after the search, so it dies before its
+  // gather reply and rank 0's gather fails naming it. Rank 0 stops its
+  // manager before unwinding, whose handlers and wake hook read the frame
+  // and the rank's state.
+  Params p;
+  p.nLocalities = 2;
+  p.workersPerLocality = 1;
+  p.sampleIntervalMs = 5;
+  p.sampleCsv = "/nonexistent-dir/t.csv";
+  std::string error;
+  try {
+    skeletons::Budget<SynthGen, Enumeration<CountAll>>::search(
+        p, SynthSpace{3, 7}, SynthNode{0, 1});
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("rank 1 died"), std::string::npos) << error;
+  EXPECT_NE(error.find("/nonexistent-dir/t.csv.rank1"), std::string::npos)
+      << error;
 }
 
 // ---- the counter table -----------------------------------------------------

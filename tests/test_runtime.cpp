@@ -580,6 +580,36 @@ TEST(Termination, WaitsForOutstandingTasks) {
   l1.stop();
 }
 
+TEST(Termination, BusyLeaderSendsNothing) {
+  // Rounds open only while the leader's idle test holds: a busy rank 0
+  // polls nobody however long it stays busy, even with balanced counters,
+  // and stamps itself live instead.
+  InProcTransport net(2);
+  Locality l0(net, 0), l1(net, 1);
+  TerminationDetector t0(l0, 2), t1(l1, 2);
+  l0.start();
+  l1.start();
+  std::atomic<bool> idle{false};
+  t0.taskCreated();
+  t0.startLeader([&idle] { return idle.load(); });
+  t0.taskCompleted();
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(net.traffic().networkMessages, 0u);
+  EXPECT_FALSE(t0.finished());
+  EXPECT_NE(t0.lastProbeNanos(), 0u);
+  idle.store(true);
+  for (int i = 0; i < 2000 && !(t0.finished() && t1.finished()); ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(t0.finished());
+  EXPECT_TRUE(t1.finished());
+  EXPECT_GT(net.traffic().networkMessages, 0u);
+  EXPECT_EQ(t1.lastProbeNanos(), 0u) << "only the leader stamps";
+  t0.stop();
+  l0.stop();
+  l1.stop();
+}
+
 TEST(Termination, ManyTasksAcrossThreads) {
   InProcTransport net(1);
   Locality loc(net, 0);
@@ -771,7 +801,7 @@ TEST(Metrics, ContendedCountersGatherExactly) {
       threads.emplace_back([&, l] {
         for (int i = 0; i < kBumps; ++i) {
           metrics[l].nodesProcessed.fetch_add(1, std::memory_order_relaxed);
-          metrics[l].tasksSpawned.fetch_add(1, std::memory_order_relaxed);
+          metrics[l].backtracks.fetch_add(1, std::memory_order_relaxed);
           if (i % 2 == 0) {
             metrics[l].localSteals.fetch_add(1, std::memory_order_relaxed);
           }
@@ -785,7 +815,7 @@ TEST(Metrics, ContendedCountersGatherExactly) {
   constexpr std::uint64_t kExpected =
       static_cast<std::uint64_t>(kLocalities) * kThreadsPerLocality * kBumps;
   EXPECT_EQ(total.nodesProcessed, kExpected);
-  EXPECT_EQ(total.tasksSpawned, kExpected);
+  EXPECT_EQ(total.backtracks, kExpected);
   EXPECT_EQ(total.localSteals, kExpected / 2);
   EXPECT_EQ(total.tasksStolen(), kExpected / 2);
 }

@@ -172,10 +172,10 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
   EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"task\""), std::string::npos);
   EXPECT_NE(text.find("\"process_name\""), std::string::npos);
-  // Every rank's batch keeps its thread names. Whatever the schedule, the
-  // termination leader records its probes and each rank's manager receives
-  // the leader's snapshot requests or replies, so those tracks are always
-  // named. Which workers run tasks is up to the scheduler (the ranks start
+  // Every rank's batch keeps its thread names. Whatever the schedule, rank
+  // 0's manager runs the termination leader and records its probes, and
+  // rank 1's manager receives the leader's snapshot requests, so those
+  // tracks are always named. Which workers run tasks is up to the scheduler (the ranks start
   // concurrently, so rank 1 may even steal the root before rank 0's team
   // pops it), but every task span sits on a named worker track of its rank.
   using Track = std::pair<int, unsigned long>;  // (pid, tid)
@@ -195,7 +195,7 @@ TEST(TraceJson, SimEngineRunProducesWellFormedChromeTrace) {
     names[Track{pid, tid}] = meta.substr(begin, meta.find('"', begin) - begin);
   }
   for (const auto& [pid, name] : std::vector<std::pair<int, std::string>>{
-           {0, "L0.term"}, {0, "L0.mgr"}, {1, "L1.mgr"}}) {
+           {0, "L0.mgr"}, {1, "L1.mgr"}}) {
     EXPECT_TRUE(std::any_of(names.begin(), names.end(),
                             [&](const auto& n) {
                               return n.first.first == pid && n.second == name;

@@ -303,6 +303,23 @@ TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
             std::string::npos);
 }
 
+TEST(Flags, RejectUnreadNamesEveryFlagNeverRead) {
+  // A misspelt flag must fail instead of running a default search: every
+  // flag given but never read through has(), raw() or a getter is named.
+  const char* argv[] = {"prog", "--workers", "3",      "--wrokers", "2",
+                        "--help", "-k",      "5",      "--tiny"};
+  Flags f(9, argv);
+  EXPECT_EQ(f.getInt("workers", 1), 3);
+  EXPECT_TRUE(f.has("tiny"));
+  EXPECT_FALSE(f.has("absent"));
+  EXPECT_EQ(rejection([&] { f.rejectUnread(); }),
+            "unknown flag --help, -k, --wrokers");
+  f.raw("help");
+  f.getInt("k", 0);
+  f.getString("wrokers", "");
+  EXPECT_EQ(rejection([&] { f.rejectUnread(); }), "");
+}
+
 TEST(Flags, WellFormedNumbersStillParse) {
   const char* argv[] = {"prog", "--q", "0.4", "--p", "1e-3", "--n", "0"};
   Flags f(7, argv);
