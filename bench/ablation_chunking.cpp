@@ -120,7 +120,7 @@ int main(int argc, char** argv) try {
   }
 
   {  // Conflict-MST optimisation, Depth-Bounded over 2 localities: chunked
-     // *pool* steal replies (Workpool::stealMany) between localities.
+     // *pool* steal replies (Workpool::stealChunk) between localities.
     auto inst = tiny ? cmst::randomInstance(12, 30, 60, 2020)
                      : sweepCmstInstance();
     sweepPolicies(table, "CMST/pool", policies, [&](ChunkPolicy chunk) {

@@ -102,11 +102,14 @@ class EngineCtx {
         health_(rt::health::Config{.stallWarn = std::chrono::milliseconds(
                                        params.stallWarnMs)},
                 id),
-        tick_(params.sampleIntervalMs, params.healthIntervalMs, health_) {
+        tick_(params.sampleIntervalMs, params.healthIntervalMs, health_,
+              [this] { return sample(); }) {
     reg_.loc = &locality_;
     reg_.decisionTarget = params.decisionTarget;
     reg_.maxNodes = params.maxNodes;
     locality_.setManagerProfile(&profile_.manager());
+    locality_.addWakeHook(
+        [this] { return tick_.poll(rt::prof::nowNanos()); });
 
     workers_.reserve(static_cast<std::size_t>(params.workersPerLocality));
     for (int w = 0; w < params.workersPerLocality; ++w) {
@@ -119,6 +122,12 @@ class EngineCtx {
 
     registerHandlers();
   }
+
+  // The manager runs handlers and hooks that read every member below.
+  ~EngineCtx() { locality_.stop(); }
+
+  EngineCtx(const EngineCtx&) = delete;
+  EngineCtx& operator=(const EngineCtx&) = delete;
 
   const Params& params() const { return params_; }
   rt::Locality& locality() { return locality_; }
@@ -462,7 +471,6 @@ class EngineCtx {
   std::atomic<int> busyWorkers_{0};
   rt::StealSlot stealSlot_{kStealTimeout};
   rt::health::Rules health_;
-  // Last: its thread reads the members above, so it is joined first.
   rt::telemetry::Tick tick_;
 };
 
@@ -568,11 +576,12 @@ struct Engine {
   static constexpr auto kGatherTimeout = std::chrono::seconds(120);
 
   // One locality's whole run, identical on both transports: status
-  // endpoint, failure callback, root and termination leader (rank 0),
-  // telemetry tick, worker team, quiesce, then the gather - every rank
-  // flushes its links and takes its final Sample into a GatherMsg, and rank
-  // 0 merges all of them (its own included) while the others ship theirs
-  // under kGatherReply and return isRoot = false.
+  // endpoint, failure callback, manager (which polls the telemetry tick
+  // and, on rank 0, the termination leader), root (rank 0), worker team,
+  // quiesce, then the gather - every rank flushes its links and takes its
+  // final Sample into a GatherMsg, and rank 0 merges all of them (its own
+  // included) while the others ship theirs under kGatherReply and return
+  // isRoot = false.
   static Out runRank(rt::Transport& net, const Params& p,
                      const std::vector<std::uint8_t>& spaceBytes,
                      const Node& root, const Timer& timer) {
@@ -627,9 +636,10 @@ struct Engine {
 
     // Fired from a transport thread (TCP: a peer went silent past
     // --peer-timeout-ms or its link broke) or a failing rank's thread
-    // (simulated): record the first death, abort the local search so the
-    // workers drain out, and wake a rank 0 blocked waiting for gather
-    // replies that will never come.
+    // (simulated): record the first death, abort the local search - stop
+    // the running tasks mid-search and the workers between tasks - and
+    // wake a rank 0 blocked waiting for gather replies that will never
+    // come.
     net.onPeerFailure([&](int peer, const std::string& why) {
       {
         rt::LockGuard lock(failMtx);
@@ -638,6 +648,7 @@ struct Engine {
           deadWhy = why;
         }
       }
+      ctx.reg().stop.store(true, std::memory_order_relaxed);
       ctx.term().abort();
       gatherCv.notify_all();
     });
@@ -659,7 +670,6 @@ struct Engine {
                ctx.pool().size() == 0;
       });
     }
-    ctx.tick().start([&ctx] { return ctx.sample(); });
 
     const std::uint64_t teamStartNanos = rt::prof::nowNanos();
     {
@@ -671,7 +681,6 @@ struct Engine {
     // lifetime, not the whole run (mesh setup/teardown is not worker time).
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
-    ctx.tick().stop();  // health firing counts are final from here
 
     // A dead peer aborts the whole job: the failure callback already
     // drained the workers; fail naming the dead rank instead of exchanging
@@ -861,11 +870,12 @@ struct Engine {
   }
 
   // Take this rank's final Sample and package it, with the rank's results
-  // and trace batch, for rank 0's merge. Call once nothing on this rank
-  // sends any more: the flush frames out whatever is still buffered, so the
-  // transport counters split exactly (batched + immediate == messages). The
-  // same Sample ends the CSV and is what the status endpoint serves from
-  // now on.
+  // and trace batch, for rank 0's merge. Call once the manager has stopped
+  // (so the tick's polls, and its health counts, are over) and nothing on
+  // this rank sends any more: the flush frames out whatever is still
+  // buffered, so the transport counters split exactly (batched + immediate
+  // == messages). The same Sample ends the CSV and is what the status
+  // endpoint serves from now on.
   static GatherMsg finishRank(Ctx& ctx, const Params& p,
                               std::uint64_t teamWallNanos) {
     ctx.locality().network().flushAll();

@@ -4,13 +4,14 @@
 // of one rank, with rate-limited structured warnings (docs/ARCHITECTURE.md
 // "Observability": health rules).
 //
-// Rules are *windowed*: the rank's telemetry tick (--health-interval-ms)
-// hands evaluate() each new Sample with the previous one, and every rule
-// reads only the difference, so a worker that is busy inside one long task
-// shows zero new idle time and is never called starved, and a steal burst
-// that ended minutes ago cannot keep a storm warning alive. Time is the
-// Samples' own stamps - no clock reads, threads or callbacks - so a test
-// can drive the rules with a hand-built Sample sequence.
+// Rules are *windowed*: the rank's telemetry tick (--health-interval-ms),
+// polled by the rank's manager thread, hands evaluate() each new Sample
+// with the previous one, and every rule reads only the difference, so a
+// worker that is busy inside one long task shows zero new idle time and is
+// never called starved, and a steal burst that ended minutes ago cannot
+// keep a storm warning alive. Time is the Samples' own stamps - no clock
+// reads, threads or callbacks - so a test can drive the rules with a
+// hand-built Sample sequence.
 //
 // Firing discipline. A rule fires on the *transition* from healthy to
 // unhealthy (counted in firings and MetricsSnapshot::healthWarnings), stays
@@ -56,9 +57,9 @@ struct Config {
   std::chrono::milliseconds warnCooldown{5000};
 };
 
-// One rank's rule state. evaluate() runs on one thread (the tick); the
-// firing state is relaxed atomics, readable live from any thread (the
-// status endpoint and the Sample builder).
+// One rank's rule state. evaluate() runs on one thread (the rank's
+// manager, polling the tick); the firing state is relaxed atomics, readable
+// live from any thread (the status endpoint and the Sample builder).
 class Rules {
  public:
   explicit Rules(const Config& cfg = {}, int rank = 0)

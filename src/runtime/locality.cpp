@@ -1,6 +1,9 @@
 #include "runtime/locality.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/trace.hpp"
 #include "util/archive.hpp"
@@ -21,10 +24,12 @@ void Locality::stop() {
   running_.store(false);
 }
 
-Locality::Handler Locality::findHandler(int tagId) {
-  LockGuard lock(handlersMtx_);
-  auto it = handlers_.find(tagId);
-  return it != handlers_.end() ? it->second : Handler{};
+void Locality::requireStopped(const char* setter) const {
+  if (running_.load()) {
+    throw std::logic_error(std::string("Locality::") + setter +
+                           " after start(): handlers and wake hooks are "
+                           "fixed while the manager runs");
+  }
 }
 
 void Locality::managerLoop() {
@@ -34,9 +39,11 @@ void Locality::managerLoop() {
   std::snprintf(name, sizeof name, "L%d.mgr", id_);
   trace::nameThread(name);
   while (true) {
+    auto timeout = kMaxWait;
+    for (const auto& hook : wakeHooks_) timeout = std::min(timeout, hook());
     std::optional<Message> msg;
     try {
-      msg = net_.recvWait(id_, wakeHook_ ? wakeHook_() : kMaxWait);
+      msg = net_.recvWait(id_, timeout);
     } catch (const ArchiveError& e) {
       // The shaping layer decodes tag::kBatchedFrame containers inside
       // recvWait; a corrupt container must surface as a dropped frame,
@@ -51,17 +58,14 @@ void Locality::managerLoop() {
     }
     if (!msg) continue;
     if (msg->tag == tag::kShutdownManager) return;
-    // The handler is copied out under the map lock and invoked without it:
-    // holding handlersMtx_ across the callback would deadlock a handler
-    // that (re)registers, and serialize handler work against registration.
-    if (auto handler = findHandler(msg->tag)) {
+    if (const auto it = handlers_.find(msg->tag); it != handlers_.end()) {
       const int tagId = msg->tag;
       const int from = msg->src;
       // Only handler dispatch counts as manager time: recvWait above is
       // the manager's idle loop, not work (runtime/profile.hpp).
       prof::ScopedPhase phase(managerProf_, prof::Phase::kManager);
       try {
-        handler(std::move(*msg));
+        it->second(std::move(*msg));
       } catch (const ArchiveError& e) {
         // A malformed payload (truncated/overlong/trailing bytes) from a
         // peer must surface as a dropped message, never terminate the

@@ -4,7 +4,9 @@
 // YewPar's split of OS threads (Section 4.3), each locality runs:
 //   * one *manager* thread, owned by this class, which drains the network
 //     inbox and dispatches messages to registered handlers (bound updates,
-//     steal requests, task transfers, termination protocol, ...), and
+//     steal requests, task transfers, termination protocol, ...), running
+//     its wake hooks (locality 0's termination rounds, the telemetry tick)
+//     between messages, and
 //   * several *worker* threads, owned by the skeleton engine, which
 //     continuously seek and execute search tasks.
 
@@ -13,11 +15,11 @@
 #include <functional>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "runtime/message.hpp"
 #include "runtime/profile.hpp"
 #include "runtime/transport/transport.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace yewpar::rt {
 
@@ -37,13 +39,12 @@ class Locality {
   int id() const { return id_; }
   Transport& network() { return net_; }
 
-  // Register a handler for a message tag. Handlers run on the manager
-  // thread; they must not block for long. Normally called before start(),
-  // but the map is mutex-guarded, so late registration (or re-registration)
-  // is safe too - previously a registerHandler racing the manager's lookup
-  // was a data race on the map.
-  void registerHandler(int tagId, Handler h) EXCLUDES(handlersMtx_) {
-    LockGuard lock(handlersMtx_);
+  // Register the handler for a message tag. Handlers run on the manager
+  // thread and must not block. The table is start-time state, read only by
+  // the manager: register before start(); throws std::logic_error once the
+  // manager runs.
+  void registerHandler(int tagId, Handler h) {
+    requireStopped("registerHandler");
     handlers_[tagId] = std::move(h);
   }
 
@@ -52,10 +53,15 @@ class Locality {
   void setManagerProfile(prof::WorkerProfile* p) { managerProf_ = p; }
 
   // Runs on the manager thread before each wait for a message and returns
-  // how long that wait may last (kMaxWait without one). Set before start();
-  // locality 0's termination leader is the one user.
+  // how long that wait may last; the manager waits the shortest result, and
+  // at most kMaxWait. Add before start(); throws std::logic_error once the
+  // manager runs. Locality 0's termination leader and every rank's
+  // telemetry tick are the users.
   using WakeHook = std::function<std::chrono::microseconds()>;
-  void setWakeHook(WakeHook h) { wakeHook_ = std::move(h); }
+  void addWakeHook(WakeHook h) {
+    requireStopped("addWakeHook");
+    wakeHooks_.push_back(std::move(h));
+  }
   static constexpr std::chrono::microseconds kMaxWait{500};
 
   // Launch the manager thread.
@@ -76,20 +82,15 @@ class Locality {
 
  private:
   void managerLoop();
-
-  // Look up the handler for `tagId`, copying it out so the manager never
-  // holds handlersMtx_ across a handler invocation (a handler may call
-  // registerHandler or block on its own locks).
-  Handler findHandler(int tagId) EXCLUDES(handlersMtx_);
+  void requireStopped(const char* setter) const;
 
   Transport& net_;
   int id_;
-  Mutex handlersMtx_;
-  std::unordered_map<int, Handler> handlers_ GUARDED_BY(handlersMtx_);
+  std::unordered_map<int, Handler> handlers_;  // set before start()
+  std::vector<WakeHook> wakeHooks_;            // set before start()
   std::thread manager_;
   std::atomic<bool> running_{false};
   prof::WorkerProfile* managerProf_ = nullptr;  // set before start()
-  WakeHook wakeHook_;                           // set before start()
 };
 
 }  // namespace yewpar::rt

@@ -12,10 +12,13 @@
 // point the loop knows what the interval was (a popWait() span is kPopping
 // if it returned a task and kIdle if it timed out). The manager thread is
 // the one exception: its handler spans are bracketed by ScopedPhase because
-// recvWait time in between is not manager work.
+// the recvWait time and wake hooks (termination rounds, the telemetry tick)
+// in between are not handler work.
 //
-// Accumulators are relaxed per-worker atomics so the telemetry tick and the
-// status endpoint can snapshot a live run without stopping it; like rt::Metrics, a mid-run snapshot is per-counter consistent only.
+// Accumulators are relaxed per-worker atomics so the telemetry tick (on the
+// rank's manager) and the status endpoint can snapshot a live run without
+// stopping it; like rt::Metrics, a mid-run snapshot is per-counter
+// consistent only.
 //
 // Overhead contract. Arming follows the trace session discipline: with no
 // run armed, PhaseClock::lap() is a branch and one relaxed load -- no clock

@@ -9,9 +9,10 @@
 namespace yewpar::rt::telemetry {
 
 Tick::Tick(std::uint64_t sampleIntervalMs, std::uint64_t healthIntervalMs,
-           health::Rules& rules)
+           health::Rules& rules, std::function<Sample()> source)
     : keepRows_(sampleIntervalMs > 0),
-      rules_(healthIntervalMs > 0 ? &rules : nullptr) {
+      rules_(healthIntervalMs > 0 ? &rules : nullptr),
+      source_(std::move(source)) {
   if (sampleIntervalMs > 0 && healthIntervalMs > 0 &&
       sampleIntervalMs != healthIntervalMs) {
     throw std::invalid_argument(
@@ -20,56 +21,23 @@ Tick::Tick(std::uint64_t sampleIntervalMs, std::uint64_t healthIntervalMs,
         " differ: the sampler and the health rules share one telemetry "
         "tick; give them the same value or set only one");
   }
-  interval_ = std::chrono::milliseconds(
-      sampleIntervalMs > 0 ? sampleIntervalMs : healthIntervalMs);
+  intervalNanos_ =
+      (sampleIntervalMs > 0 ? sampleIntervalMs : healthIntervalMs) * 1000000u;
 }
 
-void Tick::start(std::function<Sample()> source) {
-  if (interval_.count() == 0 || running()) return;
-  {
-    LockGuard lock(mtx_);
-    stopRequested_ = false;
-  }
-  source_ = std::move(source);
-  thread_ = std::thread([this] { loop(); });
-}
-
-void Tick::stop() {
-  if (!running()) return;
-  {
-    LockGuard lock(mtx_);
-    stopRequested_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  source_ = nullptr;
-}
-
-bool Tick::waitInterval() {
-  // Explicit predicate loop (not a wait lambda) so the thread-safety
-  // analysis sees stopRequested_ read with mtx_ held.
-  UniqueLock lock(mtx_);
-  const auto deadline = std::chrono::steady_clock::now() + interval_;
-  while (!stopRequested_) {
-    if (cv_.wait_until(lock.native(), deadline) == std::cv_status::timeout) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Tick::loop() {
-  // The first Sample opens the first health window; the stop() wake takes
-  // none, since the engine publishes the final Sample itself once the rank
-  // has quiesced.
-  Sample prev = source_();
-  if (keepRows_) rows_.push_back(prev);
-  while (waitInterval()) {
+std::chrono::microseconds Tick::poll(std::uint64_t nowNanos) {
+  if (intervalNanos_ == 0) return std::chrono::microseconds::max();
+  if (nowNanos >= nextNanos_) {
+    // The first Sample opens the first health window; the final one is the
+    // engine's, published by finish() once the rank has quiesced.
     Sample cur = source_();
-    if (rules_ != nullptr) rules_->evaluate(prev, cur);
+    if (rules_ != nullptr && prev_) rules_->evaluate(*prev_, cur);
     if (keepRows_) rows_.push_back(cur);
-    prev = std::move(cur);
+    prev_ = std::move(cur);
+    nextNanos_ = nowNanos + intervalNanos_;
   }
+  return std::chrono::ceil<std::chrono::microseconds>(
+      std::chrono::nanoseconds(nextNanos_ - nowNanos));
 }
 
 const Sample& Tick::finish(Sample s) {

@@ -12,22 +12,20 @@
 // every counter by construction.
 //
 // One tick. --sample-interval-ms (CSV rows) and --health-interval-ms (health
-// rules) share one thread per rank running at the one non-zero cadence; two
-// different non-zero values are rejected. With both 0 no thread starts.
+// rules) share one tick per rank at the one non-zero cadence; two different
+// non-zero values are rejected. It owns no thread: the rank's manager polls
+// it between messages. With both 0 it never samples.
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/metrics.hpp"
 #include "runtime/profile.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace yewpar::rt {
 
@@ -60,57 +58,50 @@ struct Sample {
 // widest row. Throws std::runtime_error if the file cannot be written.
 void writeCsv(const std::string& path, const std::vector<Sample>& rows);
 
-// The rank's telemetry tick. start() spawns one thread that builds a Sample
-// through the source as it starts and then every interval, keeps each as a
-// CSV row when --sample-interval-ms is set and, when --health-interval-ms is
-// set, passes it with the previous one to the health rules. start()/stop()
-// are idempotent and a stopped tick can be restarted; the source must stay
-// valid until stop() returns.
+// The rank's telemetry tick, polled by the rank's manager thread before
+// each wait for a message. A poll builds a Sample through the source when
+// one is due - at the first poll, then once per interval - keeps it as a CSV
+// row when --sample-interval-ms is set and, when --health-interval-ms is
+// set, passes it with the previous one to the health rules. The source must
+// stay valid while polls run.
 class Tick {
  public:
   // Intervals in ms, 0 = that consumer off. Throws std::invalid_argument
   // naming both flags when both are non-zero and differ.
   Tick(std::uint64_t sampleIntervalMs, std::uint64_t healthIntervalMs,
-       health::Rules& rules);
-  ~Tick() { stop(); }
+       health::Rules& rules, std::function<Sample()> source);
 
   Tick(const Tick&) = delete;
   Tick& operator=(const Tick&) = delete;
 
-  void start(std::function<Sample()> source) EXCLUDES(mtx_);
-  void stop() EXCLUDES(mtx_);
-  // Controlling thread only.
-  bool running() const { return thread_.joinable(); }
+  // Sample if one is due at `nowNanos` (steady clock), and return the wait
+  // until the next one: a late poll counts the next interval from itself.
+  // With both intervals 0 it never samples and returns the longest wait.
+  std::chrono::microseconds poll(std::uint64_t nowNanos);
 
-  // Publish the rank's final Sample, once, after stop(): it becomes the last
-  // CSV row and, from then on, what finalSample() returns.
+  // Publish the rank's final Sample, once, after the last poll: it becomes
+  // the last CSV row and, from then on, what finalSample() returns.
   const Sample& finish(Sample s);
   // The published final Sample, or nullptr before finish(). Any thread.
   const Sample* finalSample() const {
     return final_.load(std::memory_order_acquire);
   }
 
-  // The CSV rows; read only while the thread is stopped.
+  // The CSV rows; read only while no poll runs.
   const std::vector<Sample>& rows() const { return rows_; }
 
  private:
-  void loop();
-  bool waitInterval() EXCLUDES(mtx_);
-
-  std::chrono::milliseconds interval_{0};
+  std::uint64_t intervalNanos_ = 0;  // 0: never samples
   bool keepRows_ = false;
   health::Rules* rules_ = nullptr;  // null: health rules off
-
-  Mutex mtx_;
-  std::condition_variable cv_;
-  bool stopRequested_ GUARDED_BY(mtx_) = false;
-  std::function<Sample()> source_;  // set before the thread spawns
-  // Written by the tick thread while it runs, by finish() after.
+  std::function<Sample()> source_;
+  // Written by the polls, then by finish().
+  std::optional<Sample> prev_;  // the last Sample, the next window's start
+  std::uint64_t nextNanos_ = 0;  // when the next Sample is due
   std::vector<Sample> rows_;
   // Written once by finish(), then only read; final_ publishes it.
   std::optional<Sample> finalStore_;
   std::atomic<const Sample*> final_{nullptr};
-  std::thread thread_;  // touched only by the controlling thread
 };
 
 }  // namespace telemetry

@@ -34,7 +34,7 @@ TerminationDetector::TerminationDetector(Locality& loc, int nLocalities)
       sumCompleted_ += s.completed;
       if (++replies_ == nLoc_ - 1) closeRound();
     });
-    loc_.setWakeHook([this] { return onWake(); });
+    loc_.addWakeHook([this] { return onWake(); });
   }
 }
 

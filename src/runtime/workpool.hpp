@@ -15,7 +15,7 @@
 // Steal-end semantics (intentional, per policy - steals are NOT pop
 // aliases):
 //
-//   pool          local pop                  steal / stealMany
+//   pool          local pop                  stealChunk
 //   ------------  -------------------------  --------------------------------
 //   DepthPool     shallowest bucket, FRONT   shallowest bucket, BACK: thieves
 //                 (heuristic-best first)     receive same-depth (hence large)
@@ -31,21 +31,20 @@
 //                 across all shards. One     in ascending sequence order
 //                 shard: the lowest overall
 //
-// All pools support chunked hand-out (steal replies carrying several tasks
-// in one message): stealMany(k) for an explicit count, stealChunk(policy)
-// to size the chunk from the pool's live occupancy under the same lock that
-// takes the tasks, steal() as the k == 1 special case.
+// Every steal is a chunked hand-out (a steal reply carries several tasks in
+// one message): stealChunk(policy) sizes the chunk from the pool's live
+// occupancy under the same lock that takes the tasks; ChunkKind::Fixed
+// takes an explicit count, ChunkKind::One a single task.
 //
-// Who calls what: local workers pop(); same-locality thieves steal();
-// the engine's manager thread answers a remote kPoolStealRequest with
-// stealChunk(Params::chunk) - one ChunkPolicy drives both steal
-// protocols (these pool steals and the Stack-Stealing generator-stack
-// splits in skeletons/stackstealing.hpp). Adaptive's ~sqrt(victim depth)
-// gives thieves more when the victim is loaded while the victim always
-// keeps the bulk; All is the paper's boolean chunked variant. Chunked
-// replies raise tasks-per-steal above 1 and cut message counts for the
-// same work moved (bench/ablation_chunking); no policy may change a search
-// result (tests/test_chunking.cpp).
+// Who calls what: local workers pop(); the engine's manager thread answers
+// a remote kPoolStealRequest with stealChunk(Params::chunk) - one
+// ChunkPolicy drives both steal protocols (these pool steals and the
+// Stack-Stealing generator-stack splits in skeletons/stackstealing.hpp).
+// Adaptive's ~sqrt(victim depth) gives thieves more when the victim is
+// loaded while the victim always keeps the bulk; All is the paper's boolean
+// chunked variant. Chunked replies raise tasks-per-steal above 1 and cut
+// message counts for the same work moved (bench/ablation_chunking); no
+// policy may change a search result (tests/test_chunking.cpp).
 
 #include <algorithm>
 #include <atomic>
@@ -206,25 +205,15 @@ class Workpool {
   // (0 for pools that do not track it). Monotone; read at any time.
   virtual std::uint64_t lockContentions() const { return 0; }
 
-  // Chunked steal for another worker/locality: up to `k` tasks in one
-  // hand-out, taken from the policy's steal end (see the table above) and
-  // preserving the policy's order among the returned tasks. Returns fewer
-  // (possibly zero) tasks when the pool runs dry.
-  virtual std::vector<T> stealMany(std::size_t k) = 0;
-
-  // Policy-sized chunked steal: chunkFor(pool size) and the task grab
-  // happen under one lock, so Half/Adaptive/All size from the occupancy
-  // they actually take from.
+  // Chunked steal for another locality: up to policy.chunkFor(pool size)
+  // tasks in one hand-out, from the policy's steal end (see the table above)
+  // and preserving the policy's order among the returned tasks. The
+  // single-mutex pools size and take the chunk under one lock, so Half/
+  // Adaptive/All size from the occupancy they actually take from. Returns
+  // fewer (possibly zero) tasks when the pool runs dry.
   virtual std::vector<T> stealChunk(const ChunkPolicy& policy) = 0;
 
   virtual std::size_t size() const = 0;
-
-  // Single-task steal: the k == 1 chunk.
-  std::optional<T> steal() {
-    auto chunk = stealMany(1);
-    if (chunk.empty()) return std::nullopt;
-    return std::move(chunk.front());
-  }
 
   // Blocking pop with timeout, shared implementation. Lock order: waitMtx_
   // is held across the (internally locked) pop() calls, so waitMtx_ always
@@ -288,11 +277,6 @@ class DepthPool final : public Workpool<T> {
       return t;
     }
     return std::nullopt;
-  }
-
-  std::vector<T> stealMany(std::size_t k) override EXCLUDES(mtx_) {
-    LockGuard lock(mtx_);
-    return stealLocked(k);
   }
 
   std::vector<T> stealChunk(const ChunkPolicy& policy) override
@@ -365,11 +349,6 @@ class DequePool final : public Workpool<T> {
       q_.pop_front();
     }
     return t;
-  }
-
-  std::vector<T> stealMany(std::size_t k) override EXCLUDES(mtx_) {
-    LockGuard lock(mtx_);
-    return stealLocked(k);
   }
 
   std::vector<T> stealChunk(const ChunkPolicy& policy) override
@@ -505,8 +484,12 @@ class ShardedPriorityPool final : public Workpool<T> {
   // Steals always take the globally lowest published task, one shard lock
   // per task; a chunk is sorted ascending before hand-out so a thief
   // replaying it through its own pool preserves the global order even when
-  // concurrent pushes interleave lower sequence numbers mid-grab.
-  std::vector<T> stealMany(std::size_t k) override {
+  // concurrent pushes interleave lower sequence numbers mid-grab. Unlike the
+  // single-mutex pools there is no one lock to size under: the atomic total
+  // is the occupancy snapshot, and Half/Adaptive sizing from a count that
+  // moves under us is already approximate by design.
+  std::vector<T> stealChunk(const ChunkPolicy& policy) override {
+    const std::size_t k = policy.chunkFor(size());
     std::vector<T> out;
     out.reserve(std::min(k, size()));
     while (out.size() < k) {
@@ -521,13 +504,6 @@ class ShardedPriorityPool final : public Workpool<T> {
     std::sort(out.begin(), out.end(),
               [](const T& a, const T& b) { return a.seq < b.seq; });
     return out;
-  }
-
-  std::vector<T> stealChunk(const ChunkPolicy& policy) override {
-    // Unlike the single-mutex pools there is no one lock to size under;
-    // the atomic total is the occupancy snapshot. Half/Adaptive sizing from
-    // a count that moves under us is already approximate by design.
-    return stealMany(policy.chunkFor(size()));
   }
 
   std::size_t size() const override {

@@ -2,8 +2,9 @@
 // per-worker phase accounting (lap attribution, concurrent writers + a live
 // snapshot reader - the CI TSan lane runs this suite), the imbalance-index
 // math, the health rules' windows and warn rate limiting over hand-built
-// Sample sequences, the embedded status endpoint's three routes against both
-// a fake source and a live 2-locality engine run, the telemetry CSV's
+// Sample sequences (and probe-liveness on a manager shared with the
+// termination leader), the embedded status endpoint's three routes against
+// both a fake source and a live 2-locality engine run, the telemetry CSV's
 // per-worker columns, the counter table (every row on every surface, its
 // wire order, its merge), and the payload-layout handshake fence
 // (`ctest -L net` selects it).
@@ -32,9 +33,12 @@
 #include "common/synth.hpp"
 #include "core/yewpar.hpp"
 #include "runtime/health.hpp"
+#include "runtime/locality.hpp"
 #include "runtime/profile.hpp"
 #include "runtime/statusd.hpp"
 #include "runtime/telemetry.hpp"
+#include "runtime/termination.hpp"
+#include "runtime/transport/inproc.hpp"
 #include "runtime/transport/tcp.hpp"
 #include "runtime/transport/wire.hpp"
 
@@ -377,6 +381,39 @@ TEST(HealthRules, ProbeLivenessFiresPastItsThreshold) {
   for (int i = 0; i < 10; ++i) quiet.step(rank1, false, none);
   EXPECT_FALSE(rank1.firing(health::Rule::kProbeLiveness));
   EXPECT_EQ(rank1.totalFirings(), 0u);
+}
+
+TEST(HealthRules, ProbeLivenessFiresOnRankZerosManagerWhenAPeerNeverReplies) {
+  // The leader's rounds and the telemetry tick share rank 0's manager, as in
+  // the engine. Rank 1's manager never starts, so the first round never
+  // closes: rank 0 idles while its leader falls silent, and the tick's
+  // windows must show it.
+  InProcTransport net(2);
+  Locality l0(net, 0);
+  Locality l1(net, 1);  // never started
+  TerminationDetector t0(l0, 2);
+  auto cfg = quietConfig();
+  cfg.probeStale = 50ms;
+  health::Rules rules(cfg, /*rank=*/0);
+  telemetry::Tick tick(0, /*healthIntervalMs=*/5, rules, [&t0] {
+    telemetry::Sample s;
+    s.tNanos = prof::nowNanos();
+    s.searchActive = !t0.finished();
+    s.lastProbeNanos = t0.lastProbeNanos();
+    return s;
+  });
+  l0.addWakeHook([&tick] { return tick.poll(prof::nowNanos()); });
+  l0.start();
+  t0.taskCreated();  // the root, still running
+  t0.startLeader();
+  for (int i = 0; i < 2000 && !rules.firing(health::Rule::kProbeLiveness);
+       ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(rules.firing(health::Rule::kProbeLiveness));
+  EXPECT_EQ(rules.totalFirings(), 1u);
+  EXPECT_FALSE(t0.finished());
+  l0.stop();  // before the tick and the rules it polls go
 }
 
 TEST(HealthRules, RuleClearsSilently) {

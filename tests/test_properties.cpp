@@ -327,6 +327,9 @@ TEST(OneShardPool, StealTakesLowestToo) {
   pool.push(SeqTask{5, 0}, 0);
   pool.push(SeqTask{1, 0}, 0);
   pool.push(SeqTask{3, 0}, 0);
-  EXPECT_EQ(pool.steal()->seq, 1u);
+  const auto stolen =
+      pool.stealChunk(rt::ChunkPolicy{rt::ChunkKind::Fixed, 1});
+  ASSERT_EQ(stolen.size(), 1u);
+  EXPECT_EQ(stolen[0].seq, 1u);
   EXPECT_EQ(pool.pop()->seq, 3u);
 }

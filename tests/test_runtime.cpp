@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "runtime/channel.hpp"
 #include "runtime/locality.hpp"
@@ -19,6 +23,25 @@
 using namespace yewpar;
 using namespace yewpar::rt;
 using namespace std::chrono_literals;
+
+namespace {
+
+// Up to k tasks from a pool's steal end: the explicit-count chunk.
+ChunkPolicy fixed(std::uint32_t k) { return ChunkPolicy{ChunkKind::Fixed, k}; }
+
+// Records every wait a locality's manager asks of its transport. Written by
+// the manager only; read once stop() has joined it.
+struct WaitRecordingTransport : InProcTransport {
+  using InProcTransport::InProcTransport;
+  std::optional<Message> recvWait(int loc,
+                                  std::chrono::microseconds timeout) override {
+    waits.push_back(timeout);
+    return InProcTransport::recvWait(loc, timeout);
+  }
+  std::vector<std::chrono::microseconds> waits;
+};
+
+}  // namespace
 
 TEST(Channel, PushPopFifo) {
   Channel<int> c;
@@ -121,7 +144,7 @@ TEST(DepthPool, OrderPreserving) {
   EXPECT_EQ(pool.pop().value(), 10);
   EXPECT_EQ(pool.pop().value(), 11);
   EXPECT_EQ(pool.pop().value(), 20);
-  EXPECT_EQ(pool.steal().value(), 30);
+  EXPECT_EQ(pool.stealChunk(fixed(1)), (std::vector<int>{30}));
   EXPECT_FALSE(pool.pop().has_value());
 }
 
@@ -131,7 +154,7 @@ TEST(DequePool, LifoLocalFifoSteal) {
   pool.push(2, 0);
   pool.push(3, 0);
   EXPECT_EQ(pool.pop().value(), 3);    // newest first locally
-  EXPECT_EQ(pool.steal().value(), 1);  // oldest for thieves
+  EXPECT_EQ(pool.stealChunk(fixed(1)), (std::vector<int>{1}));  // oldest
   EXPECT_EQ(pool.pop().value(), 2);
 }
 
@@ -142,24 +165,23 @@ TEST(DequePool, FifoLocal) {
   EXPECT_EQ(pool.pop().value(), 1);
 }
 
-TEST(Workpool, StealManyOnEmptyPoolReturnsNothing) {
+TEST(Workpool, StealChunkOnEmptyPoolReturnsNothing) {
   DepthPool<int> dp;
-  EXPECT_TRUE(dp.stealMany(4).empty());
-  EXPECT_FALSE(dp.steal().has_value());
+  EXPECT_TRUE(dp.stealChunk(fixed(4)).empty());
+  EXPECT_TRUE(dp.stealChunk(fixed(1)).empty());
   DequePool<int> qp(/*lifoLocal=*/true);
-  EXPECT_TRUE(qp.stealMany(4).empty());
-  EXPECT_TRUE(qp.stealMany(0).empty());
+  EXPECT_TRUE(qp.stealChunk(fixed(4)).empty());
 }
 
-TEST(Workpool, StealManyLargerThanPoolDrainsIt) {
+TEST(Workpool, StealChunkLargerThanPoolDrainsIt) {
   DequePool<int> pool(/*lifoLocal=*/true);
   pool.push(1, 0);
   pool.push(2, 0);
   pool.push(3, 0);
-  auto chunk = pool.stealMany(99);
+  auto chunk = pool.stealChunk(fixed(99));
   EXPECT_EQ(chunk, (std::vector<int>{1, 2, 3}));  // oldest first
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_TRUE(pool.stealMany(1).empty());
+  EXPECT_TRUE(pool.stealChunk(fixed(1)).empty());
 }
 
 TEST(DepthPool, StealTakesBackOfShallowestBucket) {
@@ -170,14 +192,14 @@ TEST(DepthPool, StealTakesBackOfShallowestBucket) {
   pool.push(11, 1);
   pool.push(12, 1);
   pool.push(20, 2);
-  EXPECT_EQ(pool.steal().value(), 12);
+  EXPECT_EQ(pool.stealChunk(fixed(1)), (std::vector<int>{12}));
   EXPECT_EQ(pool.pop().value(), 10);
-  EXPECT_EQ(pool.steal().value(), 11);
-  EXPECT_EQ(pool.steal().value(), 20);
-  EXPECT_FALSE(pool.steal().has_value());
+  EXPECT_EQ(pool.stealChunk(fixed(1)), (std::vector<int>{11}));
+  EXPECT_EQ(pool.stealChunk(fixed(1)), (std::vector<int>{20}));
+  EXPECT_TRUE(pool.stealChunk(fixed(1)).empty());
 }
 
-TEST(DepthPool, StealManyKeepsChunkOrderAndSpillsDeeper) {
+TEST(DepthPool, StealChunkKeepsChunkOrderAndSpillsDeeper) {
   DepthPool<int> pool;
   pool.push(10, 1);
   pool.push(11, 1);
@@ -186,7 +208,7 @@ TEST(DepthPool, StealManyKeepsChunkOrderAndSpillsDeeper) {
   pool.push(21, 2);
   // k above the shallowest bucket's size: the whole depth-1 bucket in FIFO
   // order, then the back of depth 2.
-  auto chunk = pool.stealMany(4);
+  auto chunk = pool.stealChunk(fixed(4));
   EXPECT_EQ(chunk, (std::vector<int>{10, 11, 12, 21}));
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.pop().value(), 20);
@@ -215,14 +237,14 @@ struct SeqTask {
 };
 }  // namespace
 
-TEST(OneShardPool, StealManyHandsOutAscendingSeq) {
+TEST(OneShardPool, StealChunkHandsOutAscendingSeq) {
   ShardedPriorityPool<SeqTask> pool(/*shards=*/1);
   for (std::uint64_t s : {5u, 1u, 4u, 2u, 3u}) {
     pool.push(SeqTask{s}, 0);
   }
   // A chunked hand-out preserves the global sequence order: the k lowest
   // sequence numbers, ascending.
-  auto chunk = pool.stealMany(3);
+  auto chunk = pool.stealChunk(fixed(3));
   ASSERT_EQ(chunk.size(), 3u);
   EXPECT_EQ(chunk[0].seq, 1u);
   EXPECT_EQ(chunk[1].seq, 2u);
@@ -230,10 +252,10 @@ TEST(OneShardPool, StealManyHandsOutAscendingSeq) {
   // Local pops continue exactly where the chunk left off.
   EXPECT_EQ(pool.pop().value().seq, 4u);
   // k larger than the pool returns just the remainder.
-  auto rest = pool.stealMany(10);
+  auto rest = pool.stealChunk(fixed(10));
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].seq, 5u);
-  EXPECT_TRUE(pool.stealMany(1).empty());
+  EXPECT_TRUE(pool.stealChunk(fixed(1)).empty());
 }
 
 TEST(OneShardPool, MixedWorkersGetStrictlyAscendingSeq) {
@@ -316,20 +338,20 @@ TEST(ShardedPriorityPool, UnattributedPushesRoundRobinAcrossShards) {
   }
 }
 
-TEST(ShardedPriorityPool, StealManyHandsOutAscendingSeqAcrossShards) {
+TEST(ShardedPriorityPool, StealChunkHandsOutAscendingSeqAcrossShards) {
   ShardedPriorityPool<SeqTask> pool(/*shards=*/3, /*window=*/4);
   for (std::uint64_t s : {5u, 1u, 4u, 2u, 3u, 0u}) {
     pool.push(SeqTask{s}, 0, static_cast<int>(s % 3));
   }
-  auto chunk = pool.stealMany(4);
+  auto chunk = pool.stealChunk(fixed(4));
   ASSERT_EQ(chunk.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(chunk[i].seq, i);
   // Steals and pops agree on where the order left off.
   EXPECT_EQ(pool.pop().value().seq, 4u);
-  auto rest = pool.stealMany(10);
+  auto rest = pool.stealChunk(fixed(10));
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].seq, 5u);
-  EXPECT_TRUE(pool.stealMany(1).empty());
+  EXPECT_TRUE(pool.stealChunk(fixed(1)).empty());
 }
 
 TEST(ShardedPriorityPool, StealChunkSizesFromTotalOccupancy) {
@@ -389,7 +411,7 @@ TEST(ShardedPriorityPool, ConcurrentPushersAndStealersLoseNothing) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       while (!stop.load()) {
-        auto chunk = pool.stealMany(7);
+        auto chunk = pool.stealChunk(fixed(7));
         for (std::size_t i = 1; i < chunk.size(); ++i) {
           if (chunk[i - 1].seq >= chunk[i].seq) chunksAscending.store(false);
         }
@@ -416,14 +438,14 @@ TEST(ShardedPriorityPool, ConcurrentPushersAndStealersLoseNothing) {
   // Exhaustion: every hand-out path agrees the pool is dry.
   EXPECT_FALSE(pool.pop(0).has_value());
   EXPECT_FALSE(pool.pop().has_value());
-  EXPECT_TRUE(pool.stealMany(5).empty());
+  EXPECT_TRUE(pool.stealChunk(fixed(5)).empty());
   EXPECT_EQ(pool.lowWaterMark(), kNoSeqWindow);
 }
 
 TEST(DepthPool, ConcurrentChunkedStealersLoseNothing) {
   // Chunked-steal stress (the CI TSan lane runs this suite): producers push
-  // while two thieves stealMany(7) and one local worker pops; every task
-  // must be handed out exactly once.
+  // while two thieves steal chunks of 7 and one local worker pops; every
+  // task must be handed out exactly once.
   DepthPool<int> pool;
   constexpr int kPerProducer = 4000;
   std::atomic<int> taken{0};
@@ -439,7 +461,7 @@ TEST(DepthPool, ConcurrentChunkedStealersLoseNothing) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       while (!stop.load()) {
-        auto chunk = pool.stealMany(7);
+        auto chunk = pool.stealChunk(fixed(7));
         if (!chunk.empty()) {
           taken.fetch_add(static_cast<int>(chunk.size()));
         }
@@ -536,6 +558,44 @@ TEST(Locality, DispatchesToHandlers) {
   }
   EXPECT_EQ(got.load(), 55);
   b.stop();
+}
+
+TEST(Locality, RunsEveryWakeHookBeforeEachWait) {
+  // Each wait lasts the shortest hook result, and at most kMaxWait.
+  WaitRecordingTransport net(1);
+  Locality loc(net, 0);
+  int slow = 0;  // the hooks run on the manager: read after stop() joins it
+  int fast = 0;
+  loc.addWakeHook([&slow] {
+    ++slow;
+    return std::chrono::microseconds(1s);
+  });
+  loc.addWakeHook([&fast] {
+    return ++fast % 2 == 0 ? std::chrono::microseconds(100) : 10s;
+  });
+  loc.start();
+  std::this_thread::sleep_for(20ms);
+  loc.stop();
+  ASSERT_GE(net.waits.size(), 2u);
+  EXPECT_EQ(slow, static_cast<int>(net.waits.size()));
+  EXPECT_EQ(fast, slow);
+  for (std::size_t i = 0; i < net.waits.size(); ++i) {
+    EXPECT_EQ(net.waits[i].count(),
+              i % 2 == 1 ? 100 : Locality::kMaxWait.count())
+        << "wait " << i;
+  }
+}
+
+TEST(Locality, HandlersAndHooksAreFixedWhileTheManagerRuns) {
+  InProcTransport net(1);
+  Locality loc(net, 0);
+  loc.start();
+  EXPECT_THROW(loc.registerHandler(100, [](Message&&) {}), std::logic_error);
+  EXPECT_THROW(loc.addWakeHook([] { return Locality::kMaxWait; }),
+               std::logic_error);
+  loc.stop();
+  // A stopped locality takes them again, for its next start().
+  EXPECT_NO_THROW(loc.registerHandler(100, [](Message&&) {}));
 }
 
 TEST(Termination, SingleLocalityQuiesces) {

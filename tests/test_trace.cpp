@@ -2,7 +2,7 @@
 // trace ring buffers (overflow-drop accounting, concurrent writers - the CI
 // TSan lane runs this suite), Chrome trace_event JSON export well-formedness
 // and its exact text for one event of every kind, the telemetry tick's
-// start/stop contract and CSV, and a full 2-rank loopback-TCP engine run
+// polls and CSV, and a full 2-rank loopback-TCP engine run
 // whose merged trace on rank 0 must carry events from BOTH ranks
 // (`ctest -L net` selects it).
 
@@ -390,33 +390,38 @@ std::uint64_t lastRowColumn(const std::string& csv, const std::string& name) {
 
 }  // namespace
 
-TEST(TraceSampler, StartStopIdempotentAndRestartable) {
+// The tick is polled at synthetic times here, as the rank's manager polls
+// it at clock times: no thread, clock read or sleep.
+constexpr std::uint64_t kMs = 1'000'000;
+
+TEST(TraceSampler, PollSamplesOncePerIntervalAndFinishEndsTheRows) {
   health::Rules rules;
-  telemetry::Tick tick(/*sampleIntervalMs=*/5, /*healthIntervalMs=*/0, rules);
-  std::atomic<int> calls{0};
-  const auto source = [&calls] {
-    telemetry::Sample row;
-    row.poolDepth = static_cast<std::uint64_t>(calls.fetch_add(1));
-    return row;
-  };
-
-  tick.start(source);
-  tick.start(source);  // second start: no-op, no second thread
-  EXPECT_TRUE(tick.running());
-  std::this_thread::sleep_for(30ms);
-  tick.stop();
-  tick.stop();  // second stop: no-op
-  EXPECT_FALSE(tick.running());
-  // The tick samples as it starts, so a row exists even if the host never
-  // scheduled a timer tick; every Sample taken is one row.
-  const auto rows = tick.rows().size();
-  ASSERT_GE(rows, 1u);
-  EXPECT_EQ(rows, static_cast<std::size_t>(calls.load()));
-
-  // A stopped tick restarts and keeps appending.
-  tick.start(source);
-  tick.stop();
-  EXPECT_GT(tick.rows().size(), rows);
+  std::uint64_t taken = 0;
+  telemetry::Tick tick(/*sampleIntervalMs=*/5, /*healthIntervalMs=*/0, rules,
+                       [&taken] {
+                         telemetry::Sample row;
+                         row.poolDepth = taken++;
+                         return row;
+                       });
+  // The first poll samples at once; each returns the wait until the next.
+  EXPECT_EQ(tick.poll(100 * kMs).count(), 5000);
+  EXPECT_EQ(tick.poll(102 * kMs).count(), 3000);
+  EXPECT_EQ(tick.poll(105 * kMs - 1).count(), 1);  // rounded up
+  EXPECT_EQ(taken, 1u);
+  EXPECT_EQ(tick.poll(105 * kMs).count(), 5000);
+  EXPECT_EQ(taken, 2u);
+  // A late poll counts the next interval from itself, not from when it was
+  // due.
+  EXPECT_EQ(tick.poll(118 * kMs).count(), 5000);
+  EXPECT_EQ(tick.poll(122 * kMs).count(), 1000);
+  EXPECT_EQ(taken, 3u);
+  EXPECT_EQ(tick.poll(123 * kMs).count(), 5000);
+  EXPECT_EQ(taken, 4u);
+  // Every Sample taken is one row, in order.
+  ASSERT_EQ(tick.rows().size(), taken);
+  for (std::uint64_t i = 0; i < taken; ++i) {
+    EXPECT_EQ(tick.rows()[i].poolDepth, i);
+  }
 
   // The final Sample is the last row and what finalSample() serves.
   EXPECT_EQ(tick.finalSample(), nullptr);
@@ -425,18 +430,47 @@ TEST(TraceSampler, StartStopIdempotentAndRestartable) {
   tick.finish(fin);
   ASSERT_NE(tick.finalSample(), nullptr);
   EXPECT_EQ(tick.finalSample()->poolDepth, 999u);
+  ASSERT_EQ(tick.rows().size(), taken + 1);
   EXPECT_EQ(tick.rows().back().poolDepth, 999u);
 }
 
-TEST(TraceSampler, ZeroIntervalsStartNoTickThread) {
+TEST(TraceSampler, HealthOnlyTickEvaluatesConsecutiveSamplesAndKeepsNoRows) {
+  health::Config cfg;  // starvation: idle above 90% for 4 windows
+  cfg.warnCooldown = std::chrono::minutes(10);
+  health::Rules rules(cfg);
+  // One worker, idle all along: each Sample's idle total grows with its
+  // stamp, and the leader has just probed.
+  std::uint64_t now = 1000 * kMs;
+  telemetry::Tick tick(0, /*healthIntervalMs=*/10, rules, [&now] {
+    telemetry::Sample s;
+    s.tNanos = now;
+    s.lastProbeNanos = now;
+    s.profile.workers.resize(1);
+    s.profile.workers[0].nanos[static_cast<std::size_t>(prof::Phase::kIdle)] =
+        now;
+    return s;
+  });
+  tick.poll(now);  // opens the first window
+  for (int window = 1; window <= 4; ++window) {
+    EXPECT_FALSE(rules.firing(health::Rule::kStarvation)) << window;
+    now += 10 * kMs;
+    tick.poll(now);
+  }
+  EXPECT_TRUE(rules.firing(health::Rule::kStarvation));
+  EXPECT_EQ(rules.firings(health::Rule::kStarvation), 1u);
+  EXPECT_EQ(rules.totalFirings(), 1u);
+  EXPECT_TRUE(tick.rows().empty()) << "no CSV rows without the sampler";
+}
+
+TEST(TraceSampler, ZeroIntervalsNeverSample) {
   health::Rules rules;
-  telemetry::Tick off(0, 0, rules);
-  off.start([] {
+  telemetry::Tick off(0, 0, rules, [] {
     ADD_FAILURE() << "a tick with both intervals 0 must not sample";
     return telemetry::Sample{};
   });
-  EXPECT_FALSE(off.running());
-  off.stop();  // no-op
+  for (const std::uint64_t t : {std::uint64_t{0}, 5 * kMs, ~std::uint64_t{0}}) {
+    EXPECT_EQ(off.poll(t), std::chrono::microseconds::max());
+  }
   off.finish(telemetry::Sample{});
   EXPECT_TRUE(off.rows().empty()) << "no CSV rows without the sampler";
   EXPECT_NE(off.finalSample(), nullptr) << "the status endpoint still needs it";

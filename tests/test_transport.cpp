@@ -1028,3 +1028,69 @@ TEST(TcpEngine, KilledRankAbortsSurvivorNamingDeadRank) {
   }
   FAIL() << "could not bring up a mesh to kill a rank in";
 }
+
+TEST(TcpEngine, PeerDeathStopsTheSurvivorMidTask) {
+  // Rank 0's one worker searches the whole tree as one Stack-Stealing task
+  // (rank 1 joins as a bare transport and never steals), and rank 1
+  // vanishes while that task runs. The failure callback must stop the task
+  // mid-search: rank 0 aborts naming rank 1 within the peer timeout (plus
+  // slack) of the abandon, not once it has searched the whole tree.
+  apps::uts::Params tree;
+  tree.b0 = 8;
+  tree.maxDepth = 14;
+  const auto root = apps::uts::rootNode(tree);
+  constexpr auto kPeerTimeout = 500ms;
+
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const auto peers = loopbackPeers(nextPortBase(21000, 8), 2);
+
+    std::unique_ptr<TcpTransport> t1;
+    std::exception_ptr err1;
+    std::chrono::steady_clock::time_point abandonedAt;
+    std::thread th1([&] {
+      try {
+        TcpConfig cfg;
+        cfg.rank = 1;
+        cfg.peers = peers;
+        cfg.connectTimeout = 5000ms;
+        cfg.peerTimeout = kPeerTimeout;
+        t1 = std::make_unique<TcpTransport>(cfg);  // blocks until mesh up
+        std::this_thread::sleep_for(300ms);  // rank 0 is inside its task
+        abandonedAt = std::chrono::steady_clock::now();
+        t1->abandon();
+      } catch (...) {
+        err1 = std::current_exception();
+      }
+    });
+
+    Params p;
+    p.transport = TransportKind::Tcp;
+    p.rank = 0;
+    p.peers = peers;
+    p.nLocalities = 2;
+    p.workersPerLocality = 1;
+    p.peerTimeoutMs = static_cast<std::uint64_t>(kPeerTimeout.count());
+
+    std::string aborted;
+    try {
+      skeletons::StackStealing<apps::uts::Gen,
+                               Enumeration<CountByDepth>>::search(p, tree,
+                                                                  root);
+    } catch (const TransportError& e) {
+      aborted = e.what();
+    }
+    const auto abortedAt = std::chrono::steady_clock::now();
+    th1.join();
+
+    if (aborted.find("rank 1 died") != std::string::npos) {
+      EXPECT_LT(abortedAt - abandonedAt, kPeerTimeout + 2s)
+          << "rank 0 finished its task before it aborted";
+      return;
+    }
+    // Port collision (either side failed to form the mesh): retry.
+    if (err1) continue;
+    FAIL() << (aborted.empty() ? "search completed despite a dead peer"
+                               : aborted);
+  }
+  FAIL() << "could not bring up a mesh to kill a rank in";
+}
