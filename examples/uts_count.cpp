@@ -4,6 +4,8 @@
 //   uts_count --shape geo --b0 6 --depth 9 --seed 42 --skeleton stacksteal
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "apps/uts/uts.hpp"
 #include "common.hpp"
@@ -17,9 +19,11 @@ int main(int argc, char** argv) try {
   Params params = examples::paramsFromFlags(flags);
 
   uts::Params tree;
-  tree.shape = flags.getString("shape", "geo") == "bin"
-                   ? uts::Shape::Binomial
-                   : uts::Shape::Geometric;
+  const auto shape = flags.getString("shape", "geo");
+  if (shape != "geo" && shape != "bin") {
+    throw std::invalid_argument("unknown --shape '" + shape + "' (geo|bin)");
+  }
+  tree.shape = shape == "bin" ? uts::Shape::Binomial : uts::Shape::Geometric;
   tree.b0 = static_cast<std::int32_t>(flags.getInt("b0", 6));
   tree.maxDepth = static_cast<std::int32_t>(flags.getInt("depth", 9));
   tree.q = flags.getDouble("q", 0.4);

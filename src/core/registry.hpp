@@ -11,7 +11,6 @@
 #include <limits>
 #include <optional>
 
-#include "runtime/locality.hpp"
 #include "runtime/metrics.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -57,10 +56,6 @@ struct Registry {
   EnumValue acc GUARDED_BY(accMtx){};
 
   rt::Metrics metrics;
-
-  // Locality used for bound/stop broadcasts. nullptr in the Sequential
-  // skeleton (single-threaded, no runtime).
-  rt::Locality* loc = nullptr;
 
   std::int64_t decisionTarget = 0;
   std::uint64_t maxNodes = 0;

@@ -104,7 +104,6 @@ class EngineCtx {
                 id),
         tick_(params.sampleIntervalMs, params.healthIntervalMs, health_,
               [this] { return sample(); }) {
-    reg_.loc = &locality_;
     reg_.decisionTarget = params.decisionTarget;
     reg_.maxNodes = params.maxNodes;
     locality_.setManagerProfile(&profile_.manager());
@@ -576,16 +575,27 @@ struct Engine {
   static constexpr auto kGatherTimeout = std::chrono::seconds(120);
 
   // One locality's whole run, identical on both transports: status
-  // endpoint, failure callback, manager (which polls the telemetry tick
-  // and, on rank 0, the termination leader), root (rank 0), worker team,
-  // quiesce, then the gather - every rank flushes its links and takes its
-  // final Sample into a GatherMsg, and rank 0 merges all of them (its own
-  // included) while the others ship theirs under kGatherReply and return
-  // isRoot = false.
+  // endpoint, manager (which polls the telemetry tick, hears of dead peers
+  // and, on rank 0, runs the termination leader), root (rank 0), worker
+  // team, quiesce, then the gather - every rank flushes its links and takes
+  // its final Sample into a GatherMsg, and rank 0 merges all of them (its
+  // own included) while the others ship theirs under kGatherReply and
+  // return isRoot = false.
   static Out runRank(rt::Transport& net, const Params& p,
                      const std::vector<std::uint8_t>& spaceBytes,
                      const Node& root, const Timer& timer) {
     const int world = p.nLocalities;
+
+    // What the manager's handlers below record: rank 0's gather replies,
+    // and on every rank the first peer declared dead ("rank R died (why)",
+    // empty while none). Declared before ctx, whose destructor stops the
+    // manager, so they outlive every handler call whichever way this
+    // function exits.
+    rt::Mutex gatherMtx;
+    std::condition_variable gatherCv;
+    std::vector<GatherMsg> gathered;
+    std::string death;
+
     Ctx ctx(net, p.rank, p, spaceBytes);
 
     // Each rank serves its own status endpoint on --status-port + rank
@@ -609,19 +619,8 @@ struct Engine {
                          });
     }
 
-    // First peer declared dead, if any. The transport reports a death at
-    // most once per peer from one of its own threads; we keep the first and
-    // abort the local search - every surviving rank hears of the dead peer
-    // through its own transport, so no cross-rank coordination is needed.
-    rt::Mutex failMtx;
-    int deadRank = -1;
-    std::string deadWhy;
-
     // Rank 0 collects one GatherMsg per peer once the search terminates.
     // Registered before start() so a fast peer cannot race the handler.
-    rt::Mutex gatherMtx;
-    std::condition_variable gatherCv;
-    std::vector<GatherMsg> gathered;
     if (p.rank == 0) {
       ctx.locality().registerHandler(
           rt::tag::kGatherReply, [&](rt::Message&& m) {
@@ -634,29 +633,24 @@ struct Engine {
           });
     }
 
-    // Fired from a transport thread (TCP: a peer went silent past
-    // --peer-timeout-ms or its link broke) or a failing rank's thread
-    // (simulated): record the first death, abort the local search - stop
-    // the running tasks mid-search and the workers between tasks - and
-    // wake a rank 0 blocked waiting for gather replies that will never
-    // come.
-    net.onPeerFailure([&](int peer, const std::string& why) {
+    // A peer was declared dead (TCP: it went silent past --peer-timeout-ms
+    // or its link broke; simulated: its rank threw). Every survivor hears
+    // of it from its own transport, so no cross-rank coordination is
+    // needed: keep the first death, abort the local search - stop the
+    // running tasks mid-search and the workers between tasks - and wake a
+    // rank 0 waiting for gather replies that will never come.
+    ctx.locality().registerHandler(rt::tag::kPeerDead, [&](rt::Message&& m) {
       {
-        rt::LockGuard lock(failMtx);
-        if (deadRank < 0) {
-          deadRank = peer;
-          deadWhy = why;
+        rt::LockGuard lock(gatherMtx);
+        if (death.empty()) {
+          death = "rank " + std::to_string(m.src) + " died (" +
+                  std::string(m.payload.begin(), m.payload.end()) + ")";
         }
       }
       ctx.reg().stop.store(true, std::memory_order_relaxed);
       ctx.term().abort();
       gatherCv.notify_all();
     });
-    // The callback reads this frame's locals: unhook it before they go.
-    struct Unhook {
-      rt::Transport& net;
-      ~Unhook() { net.onPeerFailure(nullptr); }
-    } unhook{net};
 
     ctx.locality().start();
     if (p.rank == 0) {
@@ -682,59 +676,42 @@ struct Engine {
     const std::uint64_t teamWallNanos =
         rt::prof::nowNanos() - teamStartNanos;
 
-    // A dead peer aborts the whole job: the failure callback already
+    // A dead peer aborts the whole job: the kPeerDead handler already
     // drained the workers; fail naming the dead rank instead of exchanging
-    // gather messages with a mesh that lost a member.
+    // gather messages with a mesh that lost a member. Copied out, so the
+    // lock is free before stop() joins the manager, whose handler takes it.
+    std::string died;
     {
-      int dr = -1;
-      std::string dw;
-      {
-        rt::LockGuard lock(failMtx);
-        dr = deadRank;
-        dw = deadWhy;
-      }
-      if (dr >= 0) {
-        ctx.locality().stop();
-        net.shutdown();
-        throw rt::TransportError("aborting: rank " + std::to_string(dr) +
-                                 " died (" + dw + ")");
-      }
+      rt::LockGuard lock(gatherMtx);
+      died = death;
+    }
+    if (!died.empty()) {
+      ctx.locality().stop();
+      net.shutdown();
+      throw rt::TransportError("aborting: " + died);
     }
 
     Out out;
     if (p.rank == 0) {
       {
-        // Explicit predicate loop (not a wait lambda) so the thread-safety
-        // analysis sees `gathered` read with gatherMtx held.
+        // Wait for every peer's reply, or give up once one is declared dead
+        // instead of sitting out the full gather timeout. An explicit
+        // predicate loop (not a wait lambda), so the thread-safety analysis
+        // sees the reads with gatherMtx held.
         rt::UniqueLock lock(gatherMtx);
         const auto deadline = std::chrono::steady_clock::now() + kGatherTimeout;
-        while (static_cast<int>(gathered.size()) != world - 1) {
-          {
-            // A peer declared dead mid-gather will never reply; give up
-            // now instead of sitting out the full gather timeout.
-            rt::LockGuard fl(failMtx);
-            if (deadRank >= 0) break;
-          }
+        while (static_cast<int>(gathered.size()) != world - 1 &&
+               death.empty()) {
           if (gatherCv.wait_until(lock.native(), deadline) ==
               std::cv_status::timeout) {
             break;
           }
         }
         if (static_cast<int>(gathered.size()) != world - 1) {
-          std::string msg = "gather: received " +
-                            std::to_string(gathered.size()) + " of " +
-                            std::to_string(world - 1) + " per-rank results";
-          {
-            rt::LockGuard fl(failMtx);
-            if (deadRank >= 0) {
-              msg += "; rank " + std::to_string(deadRank) + " died (" +
-                     deadWhy + ")";
-            } else {
-              msg += " (peer died?)";
-            }
-          }
-          ctx.locality().stop();  // its handlers read this frame and ctx
-          throw rt::TransportError(msg);
+          throw rt::TransportError(
+              "gather: received " + std::to_string(gathered.size()) + " of " +
+              std::to_string(world - 1) + " per-rank results" +
+              (death.empty() ? " (peer died?)" : "; " + death));
         }
       }
       // Every reply is in: nothing on this rank sends any more once the

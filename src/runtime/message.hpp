@@ -28,6 +28,9 @@ inline constexpr int kBatchedFrame = 5;      // shaping: several messages as
                                              // decoded by ShapedTransport)
 inline constexpr int kHeartbeat = 6;         // tcp: idle keep-alive, consumed
                                              // by the link itself
+inline constexpr int kPeerDead = 7;          // transport -> own rank: src
+                                             // died; payload is the reason's
+                                             // bytes
 inline constexpr int kBoundUpdate = 10;      // knowledge: broadcast bound
 inline constexpr int kPoolStealRequest = 11; // workpool: idle loc -> victim
 inline constexpr int kStealReply = 12;       // either steal: chunk or nack
@@ -42,10 +45,10 @@ inline constexpr int kUser = 100;            // first tag free for tests/apps
 // Every tag above, in order: the list wire::protocolVersion() hashes, so a
 // tag added, removed or renumbered here fences off older builds.
 inline constexpr int kAll[] = {
-    kShutdownManager, kSnapshotRequest,   kSnapshotReply, kTerminate,
-    kBatchedFrame,    kHeartbeat,         kBoundUpdate,   kPoolStealRequest,
-    kStealReply,      kStackStealRequest, kGatherReply,   kStopSearch,
-    kUser,
+    kShutdownManager,  kSnapshotRequest, kSnapshotReply,     kTerminate,
+    kBatchedFrame,     kHeartbeat,       kPeerDead,          kBoundUpdate,
+    kPoolStealRequest, kStealReply,      kStackStealRequest, kGatherReply,
+    kStopSearch,       kUser,
 };
 }  // namespace tag
 

@@ -62,11 +62,12 @@ class TerminationDetector {
   // True once the leader has decided global termination.
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
-  // Abort the search from outside the protocol (a peer was declared dead):
-  // mark it finished locally so the workers exit and no round opens. Safe
-  // from any thread, including transport callbacks; every surviving rank
-  // aborts itself via its own failure detection, so no cross-rank message
-  // is needed (nor possible - the mesh just lost a member).
+  // Abort the search from outside the protocol: mark it finished locally so
+  // the workers exit and no round opens. Safe from any thread; the engine
+  // calls it from its manager's tag::kPeerDead handler. Every surviving
+  // rank hears of a dead peer from its own transport and aborts itself, so
+  // no protocol message is needed (nor possible - the mesh just lost a
+  // member).
   void abort() { finished_.store(true, std::memory_order_release); }
 
   // Leader only: arm the rounds. One opens only while `idle()` holds (it

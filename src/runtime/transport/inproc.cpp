@@ -25,8 +25,6 @@ InProcFabric::InProcFabric(int nLocalities, NetConfig cfg)
   for (std::size_t i = 0; i < n; ++i) {
     inboxes_.push_back(std::make_unique<Inbox>());
   }
-  LockGuard lock(failMtx_);
-  failureHandlers_.resize(n);
 }
 
 void InProcFabric::enqueueLocked(Link& l, Message m, Clock::time_point now) {
@@ -192,25 +190,21 @@ MetricsSnapshot InProcFabric::trafficFrom(int src) const {
   return out;
 }
 
-void InProcFabric::setPeerFailureHandler(int rank,
-                                         PeerFailureHandler handler) {
-  LockGuard lock(failMtx_);
-  failureHandlers_[static_cast<std::size_t>(rank)] = std::move(handler);
-  const auto& h = failureHandlers_[static_cast<std::size_t>(rank)];
-  if (!h) return;
-  for (const auto& [dead, why] : deaths_) {
-    if (dead != rank) h(dead, why);
-  }
-}
-
 void InProcFabric::declareDead(int rank, const std::string& why) {
-  LockGuard lock(failMtx_);
-  deaths_.emplace_back(rank, why);
+  const auto now = Clock::now();
   for (int r = 0; r < n_; ++r) {
-    const auto& h = failureHandlers_[static_cast<std::size_t>(r)];
-    if (r == rank || !h) continue;
+    if (r == rank) continue;
+    {
+      // Like a loopback message: no modelled delay, no FIFO floor, no
+      // histogram sample; the link's queue still keeps it behind `rank`'s
+      // earlier messages.
+      Link& l = link(rank, r);
+      LockGuard lock(l.mtx);
+      l.queue.push_back(Pending{
+          now, Message{rank, r, tag::kPeerDead, {why.begin(), why.end()}}});
+    }
     trace::record(trace::Ev::kPeerDead, r, static_cast<std::uint64_t>(rank));
-    h(rank, why);
+    notifyInbox(r);
   }
 }
 

@@ -19,9 +19,9 @@
 //     predecessor's. The fabric does no batching and no back-pressure and
 //     counts no messages, bytes or frames - that is all ShapedTransport's
 //     job. Its traffic() carries only what the shaper cannot see: the
-//     histogram of the delays it modelled. It also carries rank-failure
-//     notification: a simulated rank that dies is declared dead here and
-//     every other rank's callback fires.
+//     histogram of the delays it modelled. A simulated rank that dies is
+//     declared dead here: every other rank finds a tag::kPeerDead message
+//     from it on their link, however late it reads.
 //   * InProcPort - one rank's endpoint on a shared fabric. The engine runs
 //     each simulated rank over its own ShapedTransport wrapping its own
 //     port, exactly as a TCP rank wraps its TcpTransport, so every rank
@@ -114,16 +114,10 @@ class InProcFabric : public Transport {
   std::uint64_t maxLinkQueueFrom(int src) const;
   MetricsSnapshot trafficFrom(int src) const;
 
-  // ---- rank failure ----------------------------------------------------
-  // Register `rank`'s peer-failure callback (an empty handler unregisters).
-  // A death declared before registration is replayed at once, so a rank
-  // that starts late still hears about a peer that already failed.
-  void setPeerFailureHandler(int rank, PeerFailureHandler handler);
-
-  // Declare `rank` dead: every other rank's callback fires with (rank,
-  // why). Callbacks run under the fabric's failure lock, so once
-  // setPeerFailureHandler(r, {}) returns no callback of r is in flight;
-  // they must not call back into the fabric.
+  // Declare `rank` dead: queue a tag::kPeerDead message carrying `why` on
+  // the link from `rank` to every other rank, behind the messages it sent
+  // before, with no modelled delay. It stays queued until read, so a rank
+  // that starts late still hears of a peer that already failed.
   void declareDead(int rank, const std::string& why);
 
  private:
@@ -193,25 +187,16 @@ class InProcFabric : public Transport {
   NetConfig cfg_;
   std::vector<std::unique_ptr<Link>> links_;    // n_ * n_, row-major by src
   std::vector<std::unique_ptr<Inbox>> inboxes_;
-
-  Mutex failMtx_;
-  std::vector<PeerFailureHandler> failureHandlers_ GUARDED_BY(failMtx_);
-  std::vector<std::pair<int, std::string>> deaths_ GUARDED_BY(failMtx_);
 };
 
 // One rank's endpoint on a shared InProcFabric: sends and receives for
-// `rank` only, reports only the links leaving `rank`, and registers the
-// rank's peer-failure callback with the fabric. Messages and frames are
-// counted by the ShapedTransport wrapped around the port, as on TCP; the
-// port's traffic() is its rank's share of the delay histogram.
+// `rank` only and reports only the links leaving `rank`. Messages and
+// frames are counted by the ShapedTransport wrapped around the port, as on
+// TCP; the port's traffic() is its rank's share of the delay histogram.
 class InProcPort : public Transport {
  public:
   InProcPort(InProcFabric& fabric, int rank)
       : fabric_(fabric), rank_(rank) {}
-  ~InProcPort() override { fabric_.setPeerFailureHandler(rank_, nullptr); }
-
-  InProcPort(const InProcPort&) = delete;
-  InProcPort& operator=(const InProcPort&) = delete;
 
   int size() const override { return fabric_.size(); }
   void send(Message m) override { fabric_.send(std::move(m)); }
@@ -237,10 +222,6 @@ class InProcPort : public Transport {
   }
   MetricsSnapshot traffic() const override {
     return fabric_.trafficFrom(rank_);
-  }
-
-  void onPeerFailure(PeerFailureHandler handler) override {
-    fabric_.setPeerFailureHandler(rank_, std::move(handler));
   }
 
  private:

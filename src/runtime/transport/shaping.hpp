@@ -196,9 +196,6 @@ class ShapedTransport : public Transport {
   std::int64_t handshakeClockDeltaNanos(int peer) const override {
     return inner_.handshakeClockDeltaNanos(peer);
   }
-  void onPeerFailure(PeerFailureHandler handler) override {
-    inner_.onPeerFailure(std::move(handler));
-  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -368,17 +368,8 @@ void TcpTransport::peerDied(int peerRank, const std::string& why) {
   trace::record(trace::Ev::kPeerDead, cfg_.rank,
                 static_cast<std::uint64_t>(peerRank), 0);
   killLink(p);
-  PeerFailureHandler cb;
-  {
-    LockGuard lock(cbMtx_);
-    cb = failureCb_;
-  }
-  if (cb) cb(peerRank, why);
-}
-
-void TcpTransport::onPeerFailure(PeerFailureHandler handler) {
-  LockGuard lock(cbMtx_);
-  failureCb_ = std::move(handler);
+  pushInbox(
+      Message{peerRank, cfg_.rank, tag::kPeerDead, {why.begin(), why.end()}});
 }
 
 void TcpTransport::pushInbox(Message m) {

@@ -31,10 +31,10 @@
 // shutdown within the timeout (a SIGKILLed process and a gracefully
 // finished one both close with a FIN; only the passage of time tells them
 // apart). Death is reported once per peer: a diagnostic naming the dead
-// rank on stderr, a trace::Ev::kPeerDead event, and the onPeerFailure
-// callback, which the engine uses to abort the whole job instead of
-// hanging until the drain timeout. peerTimeout 0 disables heartbeats, the
-// silence deadline and the mid-run EOF check.
+// rank on stderr, a trace::Ev::kPeerDead event, and a tag::kPeerDead
+// message from the dead rank in the local inbox, on which the engine aborts
+// the whole job instead of hanging until the drain timeout. peerTimeout 0
+// disables heartbeats, the silence deadline and the mid-run EOF check.
 //
 // Shutdown ordering (graceful, drains in-flight frames):
 //   1. each sender thread finishes writing every queued frame, then
@@ -143,10 +143,6 @@ class TcpTransport : public Transport {
   // exist here); the shaping layer's queue cap counts against this.
   std::uint64_t linkBacklogNow(int src, int dst) const override;
 
-  // Register the peer-death callback (see the header comment); fired from
-  // a transport thread, at most once per peer.
-  void onPeerFailure(PeerFailureHandler handler) override;
-
   // Peer's handshake send stamp minus our steady clock at handshake read:
   // the local half of the clock-offset estimate used to align traces at
   // export. Zero for self or out-of-range.
@@ -170,8 +166,8 @@ class TcpTransport : public Transport {
     bool closing GUARDED_BY(mtx) = false;
     // Write/read error; outbound traffic is dropped.
     bool dead GUARDED_BY(mtx) = false;
-    // peerDied() once-guard: the diagnostic, trace event and failure
-    // callback fire at most once per peer, whichever path noticed first.
+    // peerDied() once-guard: the diagnostic, trace event and kPeerDead
+    // message happen at most once per peer, whichever path noticed first.
     bool deathReported GUARDED_BY(mtx) = false;
   };
 
@@ -179,8 +175,9 @@ class TcpTransport : public Transport {
   void receiverLoop(int peerRank);
   void pushInbox(Message m);
 
-  // Declare `peerRank` dead: report once (stderr + trace + onPeerFailure
-  // callback) and kill the link. Callable from any transport thread.
+  // Declare `peerRank` dead: report once (stderr + trace + a kPeerDead
+  // message in the inbox) and kill the link. Callable from any transport
+  // thread.
   void peerDied(int peerRank, const std::string& why);
 
   // Tear a broken link down: mark it dead (future send() drops) and
@@ -206,9 +203,6 @@ class TcpTransport : public Transport {
   std::atomic<bool> shutdownDone_{false};
 
   std::atomic<std::uint64_t> heartbeats_{0};
-
-  mutable Mutex cbMtx_;
-  PeerFailureHandler failureCb_ GUARDED_BY(cbMtx_);
 };
 
 }  // namespace yewpar::rt

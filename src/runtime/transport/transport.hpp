@@ -27,6 +27,13 @@
 // and `tryRecv` take the locality id so the in-process backend can host all
 // of them, while the TCP backend hosts exactly one rank and rejects others.
 //
+// A peer's death arrives the same way as everything else: the backend that
+// detects it (a TCP link broke or went silent, a simulated rank threw)
+// queues one tag::kPeerDead message from the dead rank to each local rank
+// (payload: the reason's bytes), behind the messages from that rank already
+// queued for it. The message never crosses a wire and no layer counts it as
+// traffic.
+//
 // Thread-safety contract: every method may be called from any thread at any
 // time between construction and shutdown(). Implementations keep their
 // shared state behind rt::Mutex with GUARDED_BY annotations (or atomics),
@@ -35,7 +42,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -125,16 +131,6 @@ class Transport {
     (void)dst;
     return 0;
   }
-
-  // ---- rank-failure detection -------------------------------------------
-  // Register a callback fired (once per peer, from a transport thread) when
-  // a peer is declared dead: its link broke mid-run, or it went silent past
-  // the configured peer timeout. Backends without failure detection never
-  // call it. The callback must not block and must not call back into the
-  // transport.
-  using PeerFailureHandler = std::function<void(int peer,
-                                                const std::string& why)>;
-  virtual void onPeerFailure(PeerFailureHandler handler) { (void)handler; }
 
   // Clock-offset raw material for cross-process trace alignment: the peer's
   // handshake send stamp minus the local steady clock at handshake receive

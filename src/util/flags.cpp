@@ -44,7 +44,7 @@ Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (!isFlag(arg)) {
-      positional_.push_back(arg);
+      stray_.push_back(arg);
       continue;
     }
     std::string key = stripDashes(arg);
@@ -97,7 +97,11 @@ double Flags::getDouble(const std::string& key, double dflt) const {
 bool Flags::getBool(const std::string& key, bool dflt) const {
   auto v = raw(key);
   if (!v) return dflt;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw std::invalid_argument(flagName(key) +
+                              " needs true|false|1|0|yes|no, got '" + *v +
+                              "'");
 }
 
 void Flags::rejectUnread() const {
@@ -106,7 +110,12 @@ void Flags::rejectUnread() const {
     if (read_.count(key) != 0) continue;
     unread += (unread.empty() ? "" : ", ") + flagName(key);
   }
-  if (!unread.empty()) throw std::invalid_argument("unknown flag " + unread);
+  std::string what = unread.empty() ? "" : "unknown flag " + unread;
+  for (const auto& word : stray_) {
+    if (!what.empty()) what += "; ";
+    what += "unexpected argument '" + word + "'";
+  }
+  if (!what.empty()) throw std::invalid_argument(what);
 }
 
 }  // namespace yewpar

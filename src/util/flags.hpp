@@ -3,7 +3,9 @@
 // Minimal command-line flag parser for the example and bench executables.
 // Accepts "--key value", "--key=value" and bare boolean "--key" forms,
 // mirroring the style of YewPar's application drivers
-// (e.g. `maxclique --skeleton depthbounded -d 2 --hpx:threads 4`).
+// (e.g. `maxclique --skeleton depthbounded -d 2 --hpx:threads 4`). No
+// binary takes positional arguments: a word that is no flag's value is an
+// error (see rejectUnread).
 
 #include <cstdint>
 #include <map>
@@ -29,19 +31,19 @@ class Flags {
   // `long` would truncate on 32-bit longs.
   std::uint64_t getUint64(const std::string& key, std::uint64_t dflt) const;
   double getDouble(const std::string& key, double dflt) const;
+  // A bare flag is true; a value must be true|false|1|0|yes|no, else this
+  // throws std::invalid_argument naming the flag.
   bool getBool(const std::string& key, bool dflt = false) const;
 
-  // Non-flag positional arguments in order of appearance.
-  const std::vector<std::string>& positional() const { return positional_; }
-
   // Throws std::invalid_argument naming every flag given but never read by
-  // has(), raw() or a getter (all go through raw()): a misspelt flag must
+  // has(), raw() or a getter (all go through raw()) and every stray word
+  // that is no flag's value: a misspelt flag or a leftover argument must
   // not run a different search. Call once every flag has been read.
   void rejectUnread() const;
 
  private:
   std::map<std::string, std::string> kv_;
-  std::vector<std::string> positional_;
+  std::vector<std::string> stray_;
   mutable std::set<std::string> read_;
 };
 

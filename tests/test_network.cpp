@@ -1,14 +1,16 @@
 // The layered simulated transport: delay-model parsing and sampling, batch
 // flush (size- and deadline-triggered), FIFO delivery under randomised
-// per-message delays, bounded links with shed-to-spill back-pressure, and
-// per-link counter accounting. The engine-level leg checks that no
-// batch/cap/delay combination can change a search result on any skeleton,
-// and that a saturated link never deadlocks the steal request/reply cycle
-// (the CI TSan and ASan lanes run this suite alongside test_runtime).
+// per-message delays, bounded links with shed-to-spill back-pressure,
+// per-link counter accounting, and the delivery of a declared rank death.
+// The engine-level leg checks that no batch/cap/delay combination can
+// change a search result on any skeleton, and that a saturated link never
+// deadlocks the steal request/reply cycle (the CI TSan and ASan lanes run
+// this suite alongside test_runtime).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,6 +329,45 @@ TEST(NetworkCounters, EachSimulatedRankCountsOnlyItsOwnLinks) {
   EXPECT_EQ(t0.netLatencyHist[bucket], 3u);
   EXPECT_EQ(t1.netLatencyHist[bucket], 2u);
   EXPECT_EQ(fabric.traffic().netLatencyHist[bucket], 5u);
+}
+
+// ---- rank failure --------------------------------------------------------
+
+TEST(NetworkFailure, DeclaredDeathReachesEachSurvivorOnceBehindEarlierSends) {
+  // A simulated rank's death is one tag::kPeerDead message from it, carrying
+  // the reason, on its link to every other rank: behind what it sent before
+  // (here still in flight under a 2 ms modelled delay), never to the dead
+  // rank itself, and neither counted as traffic nor given a delay.
+  NetConfig cfg;
+  cfg.delay = DelayModel::parse("fixed:2000");
+  InProcFabric fabric(3, cfg);
+  InProcPort p0(fabric, 0), p1(fabric, 1), p2(fabric, 2);
+  ShapedTransport s0(p0, cfg), s1(p1, cfg), s2(p2, cfg);
+  s1.send(Message{1, 0, tag::kUser, toBytes(std::int32_t{7})});
+  fabric.declareDead(1, "boom");
+
+  const auto expectDeath = [](std::optional<Message> m, int dst) {
+    ASSERT_TRUE(m.has_value()) << "rank " << dst << " never heard";
+    EXPECT_EQ(m->tag, tag::kPeerDead);
+    EXPECT_EQ(m->src, 1);
+    EXPECT_EQ(m->dst, dst);
+    EXPECT_EQ(std::string(m->payload.begin(), m->payload.end()), "boom");
+  };
+  auto earlier = s0.recvWait(0, 500ms);
+  ASSERT_TRUE(earlier.has_value());
+  EXPECT_EQ(earlier->tag, tag::kUser);
+  expectDeath(s0.recvWait(0, 500ms), 0);
+  expectDeath(s2.recvWait(2, 500ms), 2);
+  EXPECT_FALSE(s0.recvWait(0, 20ms).has_value());
+  EXPECT_FALSE(s2.recvWait(2, 20ms).has_value());
+  EXPECT_FALSE(s1.recvWait(1, 20ms).has_value());
+
+  EXPECT_EQ(s0.traffic().networkMessages, 0u);
+  EXPECT_EQ(s1.traffic().networkMessages, 1u);
+  EXPECT_EQ(s2.traffic().networkMessages, 0u);
+  std::uint64_t delays = 0;
+  for (auto c : fabric.traffic().netLatencyHist) delays += c;
+  EXPECT_EQ(delays, 1u);
 }
 
 // ---- engine-level determinism -------------------------------------------

@@ -770,51 +770,33 @@ TEST(ShapedTcp, MixedFlushSizesPreserveFifoAndAccounting) {
 
 // ---- rank-failure detection ----------------------------------------------
 
-TEST(TcpFailure, AbandonedPeerFiresFailureCallbackNamingRank) {
+TEST(TcpFailure, AbandonedPeerArrivesAsOnePeerDeadMessageNamingRank) {
   // abandon() approximates a SIGKILLed process: no drain, no goodbye. The
-  // survivor must declare the peer dead within the peer timeout and fire
-  // onPeerFailure exactly once with the dead rank.
+  // survivor must declare the peer dead within the peer timeout, reporting
+  // it exactly once: one tag::kPeerDead message from the dead rank in its
+  // inbox, carrying the reason.
   auto mesh = makeMesh(2, 400ms);
-  std::mutex mtx;
-  std::condition_variable cv;
-  int dead = -1;
-  std::string why;
-  int fires = 0;
-  mesh[0]->onPeerFailure([&](int r, const std::string& w) {
-    std::lock_guard lock(mtx);
-    dead = r;
-    why = w;
-    ++fires;
-    cv.notify_all();
-  });
-
   mesh[1]->abandon();
-  {
-    std::unique_lock lock(mtx);
-    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return dead >= 0; }))
-        << "peer death never reported";
-  }
-  std::this_thread::sleep_for(100ms);  // window for a (wrong) second fire
-  {
-    std::lock_guard lock(mtx);
-    EXPECT_EQ(dead, 1);
-    EXPECT_EQ(fires, 1);
-    EXPECT_FALSE(why.empty());
-  }
+  auto m = mesh[0]->recvWait(0, 10'000'000us);
+  ASSERT_TRUE(m.has_value()) << "peer death never reported";
+  EXPECT_EQ(m->tag, tag::kPeerDead);
+  EXPECT_EQ(m->src, 1);
+  EXPECT_EQ(m->dst, 0);
+  EXPECT_FALSE(m->payload.empty());
+  // A window for a (wrong) second report: nothing else may arrive.
+  EXPECT_FALSE(mesh[0]->recvWait(0, 100'000us).has_value());
   mesh[0]->shutdown();
 }
 
 TEST(TcpFailure, IdleHeartbeatsKeepSilentLinkAlive) {
   // An idle but healthy mesh must NOT trip the silence deadline: the idle
   // senders' heartbeats are the proof of life. Sit well past the timeout,
-  // then check the link still delivers.
+  // then check that no death (nor anything else) was reported and the link
+  // still delivers.
   auto mesh = makeMesh(2, 500ms);
-  std::atomic<int> deaths{0};
-  mesh[0]->onPeerFailure([&](int, const std::string&) { ++deaths; });
-  mesh[1]->onPeerFailure([&](int, const std::string&) { ++deaths; });
-
   std::this_thread::sleep_for(1500ms);  // 3x the timeout of pure idleness
-  EXPECT_EQ(deaths.load(), 0);
+  EXPECT_FALSE(mesh[0]->tryRecv(0).has_value());
+  EXPECT_FALSE(mesh[1]->tryRecv(1).has_value());
   EXPECT_GE(mesh[0]->traffic().networkHeartbeats, 1u);
   EXPECT_GE(mesh[1]->traffic().networkHeartbeats, 1u);
 

@@ -222,10 +222,23 @@ TEST(Archive, TruncatedInputThrows) {
   EXPECT_THROW(ia >> x, std::runtime_error);
 }
 
+namespace {
+// The std::invalid_argument message `get` throws, or "" if it returns.
+template <typename Get>
+std::string rejection(Get&& get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
 TEST(Flags, ParsesAllForms) {
   // Note: a bare flag directly followed by a non-flag token ("--chunked
-  // input.clq") would consume the token as its value, so boolean flags use
-  // the --key=value form (or come last) when positionals are present.
+  // input.clq") would consume the token as its value, so a stray word after
+  // a boolean flag fails in getBool instead.
   const char* argv[] = {"prog",           "--skeleton", "budget",
                         "--budget=100",   "input.clq",  "-d",
                         "2",              "--chunked"};
@@ -234,16 +247,39 @@ TEST(Flags, ParsesAllForms) {
   EXPECT_EQ(f.getInt("budget", 0), 100);
   EXPECT_TRUE(f.getBool("chunked"));
   EXPECT_EQ(f.getInt("d", 0), 2);
-  ASSERT_EQ(f.positional().size(), 1u);
-  EXPECT_EQ(f.positional()[0], "input.clq");
   EXPECT_EQ(f.getInt("missing", 7), 7);
+  // No binary takes positional arguments: a stray word fails the run.
+  EXPECT_EQ(rejection([&] { f.rejectUnread(); }),
+            "unexpected argument 'input.clq'");
 }
 
 TEST(Flags, BoolEqualsForm) {
   const char* argv[] = {"prog", "--chunked=true", "pos"};
   Flags f(3, argv);
   EXPECT_TRUE(f.getBool("chunked"));
-  ASSERT_EQ(f.positional().size(), 1u);
+  EXPECT_EQ(rejection([&] { f.rejectUnread(); }),
+            "unexpected argument 'pos'");
+}
+
+TEST(Flags, BoolTakesOnlyBooleanWords) {
+  // "--random on" must not run as if the flag were absent: every value but
+  // the six boolean words fails naming the flag.
+  const char* argv[] = {"prog",    "--alpha", "yes", "--beta=no", "--gamma",
+                        "0",       "--delta", "on",  "--eps"};
+  Flags f(9, argv);
+  EXPECT_TRUE(f.getBool("alpha"));
+  EXPECT_FALSE(f.getBool("beta", true));
+  EXPECT_FALSE(f.getBool("gamma", true));
+  EXPECT_EQ(rejection([&] { f.getBool("delta"); }),
+            "--delta needs true|false|1|0|yes|no, got 'on'");
+  EXPECT_TRUE(f.getBool("eps"));
+  EXPECT_TRUE(f.getBool("absent", true));
+  // A stray word reported together with an unknown flag.
+  const char* argv2[] = {"prog", "--wrokers", "2", "--tiny=yes", "x"};
+  Flags g(5, argv2);
+  EXPECT_TRUE(g.getBool("tiny"));
+  EXPECT_EQ(rejection([&] { g.rejectUnread(); }),
+            "unknown flag --wrokers; unexpected argument 'x'");
 }
 
 TEST(Flags, Uint64FullRange) {
@@ -261,19 +297,6 @@ TEST(Flags, NegativeNumberIsValue) {
   Flags f(3, argv);
   EXPECT_EQ(f.getInt("offset", 0), -5);
 }
-
-namespace {
-// The std::invalid_argument message `get` throws, or "" if it returns.
-template <typename Get>
-std::string rejection(Get&& get) {
-  try {
-    get();
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
-}
-}  // namespace
 
 TEST(Flags, MalformedNumbersThrowNamingTheFlag) {
   // A value that parses only in part must not run a different search
